@@ -212,10 +212,10 @@ class BarrierParams:
     alpha: float
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError("boundary gradient s must be nonnegative")
-        if self.alpha <= 0:
-            raise ValueError("offset alpha must be positive")
+        if not math.isfinite(self.s) or self.s < 0:
+            raise ValueError("boundary gradient s must be finite and nonnegative")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise ValueError("offset alpha must be finite and positive")
 
     @property
     def scale(self) -> float:

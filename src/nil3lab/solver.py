@@ -16,9 +16,9 @@ residual increase.  One log line is emitted per Newton step on the
 Two boundary-value programs sit on top:
 
 * `exterior_solve` - zero data on the inner circle r = r0, and for each
-  truncation radius m of the exhaustion schedule a monotone bisection on the
-  constant outer value t until the inner boundary gradient matches the
-  prescribed s.  The radial barrier caps every admissible t.
+  truncation radius m of the exhaustion schedule a safeguarded secant search
+  on the constant outer value t, capped by the radial barrier, until the inner
+  boundary gradient matches the prescribed s within cfg.bisection_tol.
 * `asymptotic_solve` - truncated-disk approximations of angular data at
   infinity; the coordinate origin is handled by excising a tiny core disk
   and closing the innermost cell with the zero-flux (regular-origin) face.
@@ -46,6 +46,9 @@ from .radial import (
 from .surface import BoundaryData, warp_g
 
 logger = logging.getLogger("nil3lab.solver")
+
+# Dirichlet solves the exterior outer-value search spends on one m at most
+MAX_OUTER_EVALS = 30
 
 __all__ = [
     "AnnulusGrid",
@@ -162,7 +165,7 @@ class AnnulusGrid:
 
 @dataclass
 class SolverConfig:
-    """Newton/bisection tolerances, grid sizes, and the exhaustion schedule."""
+    """Newton and outer-search tolerances, grid sizes, and the exhaustion schedule."""
 
     newton_tol: float = 1e-10
     max_newton: int = 40
@@ -176,8 +179,9 @@ class SolverConfig:
     compact_rmax: float = 4.0
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.bisection_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        for tol in (self.newton_tol, self.bisection_tol):
+            if not math.isfinite(tol) or tol <= 0:
+                raise ValueError("tolerances must be finite and positive")
         if not 0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_newton < 1:
@@ -553,16 +557,16 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     """Exterior Dirichlet exhaustion with boundary-gradient matching.
 
     For each truncation radius m: zero inner data on r = r0, constant outer
-    value t on r = m, and a monotone bisection on t until the discrete inner
-    boundary gradient equals s within cfg.bisection_tol.  The radial barrier
-    value f(m - r0) caps the bracket; the recorded t_m stay below it.  The
-    bisection starts from the bracket suggested by the one-dimensional flux
-    solution and falls back to [previous t_m, cap] if that seed is invalid.
+    value t on r = m, and a safeguarded secant search on t until the discrete
+    inner boundary gradient equals s within cfg.bisection_tol (the tolerance
+    on the gradient match).  It starts at the one-dimensional flux prediction
+    and keeps t in the bracket [previous t_m, f(m - r0)] capped by the radial
+    barrier; raises BracketError after MAX_OUTER_EVALS solves at one m.
     """
-    if s < 0:
-        raise ValueError("boundary gradient s must be nonnegative")
-    if r0 <= 0:
-        raise ValueError("inner radius r0 must be positive")
+    if not math.isfinite(s) or s < 0:
+        raise ValueError("boundary gradient s must be finite and nonnegative")
+    if not math.isfinite(r0) or r0 <= 0:
+        raise ValueError("inner radius r0 must be finite and positive")
     if not cfg.schedule:
         raise ValueError("empty exhaustion schedule")
     if cfg.schedule[0] <= r0:
@@ -584,80 +588,33 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             u = np.zeros(grid.shape)
             t_m, grad = 0.0, 0.0
         else:
-            zero_inner = np.zeros_like(grid.theta)
-
-            def extended_guess(t):
-                if prev_field is None:
-                    return None
-                u0 = np.empty(grid.shape)
-                scale = t / prev_t if prev_t > 0 else 1.0
-                for j in range(grid.shape[1]):
-                    u0[:, j] = np.interp(
-                        grid.r, prev_grid.r, prev_field[:, j] * scale
-                    )
-                beyond = grid.r > prev_grid.r[-1]
-                if beyond.any():
-                    base = u0[np.argmax(beyond) - 1]
-                    shape_gain = np.array(
-                        [
-                            barrier_f(barrier, rr - r0)[0]
-                            - barrier_f(barrier, prev_grid.r[-1] - r0)[0]
-                            for rr in grid.r[beyond]
-                        ]
-                    )
-                    span = cap - barrier_f(barrier, prev_grid.r[-1] - r0)[0]
-                    gain_scale = (t - base.mean()) / span if span > 0 else 0.0
-                    u0[beyond] = base[None, :] + gain_scale * shape_gain[:, None]
-                return u0
-
-            last_u = None
-            last_t = None
-
-            def solve_at(t):
-                nonlocal last_u, last_t
-                if last_u is not None:
-                    guess = last_u * (t / last_t) if last_t and last_t > 0 else None
-                else:
-                    guess = extended_guess(t)
-                u_t = dirichlet_solve(grid, zero_inner, float(t), cfg, u0=guess)
-                last_u, last_t = u_t, t
-                return u_t, boundary_gradient_sup(u_t, grid)
-
-            # seed bracket around the one-dimensional prediction
-            t_hat = _radial_flux_prediction(s, r0, m)
-            width = max(0.05 * t_hat, 0.05)
-            lo, hi = max(prev_t, t_hat - width), min(cap + 1e-3, t_hat + width)
-            _, g_lo = solve_at(lo)
-            _, g_hi = solve_at(hi)
-            if not (g_lo <= s <= g_hi):
-                logger.info(
-                    "bisection seed [%g, %g] invalid (gradients %.4g, %.4g); "
-                    "falling back to the barrier bracket",
-                    lo, hi, g_lo, g_hi,
-                )
-                lo, hi = prev_t, cap + 1e-3
-                _, g_lo = solve_at(lo)
-                _, g_hi = solve_at(hi)
-                if not (g_lo <= s <= g_hi):
-                    raise BracketError(
-                        f"no bracket for the boundary gradient at m={m}: "
-                        f"gradient range [{g_lo:.4g}, {g_hi:.4g}] misses s={s}"
-                    )
-            t_m, u, grad = None, None, None
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                u_mid, g_mid = solve_at(mid)
-                if abs(g_mid - s) <= cfg.bisection_tol:
-                    t_m, u, grad = mid, u_mid, g_mid
+            # secant on t -> grad(t) - s, which increases with t; the zero
+            # solution gives the first secant point (0, 0), so the first step
+            # is the proportional one t s / grad
+            lo, hi = prev_t, cap
+            t = min(max(_radial_flux_prediction(s, r0, m), lo), hi)
+            t_old, g_old, u = 0.0, 0.0, None
+            for _ in range(MAX_OUTER_EVALS):
+                u = dirichlet_solve(grid, 0.0, t, cfg, u0=u)
+                grad = boundary_gradient_sup(u, grid)
+                if abs(grad - s) <= cfg.bisection_tol:
                     break
-                if g_mid < s:
-                    lo = mid
+                if grad < s:
+                    lo = t
                 else:
-                    hi = mid
-            if t_m is None:
+                    hi = t
+                dt, dg = t - t_old, grad - g_old
+                t_next = t - (grad - s) * dt / dg if dt * dg > 0 else math.nan
+                t_old, g_old = t, grad
+                # a proposal outside the open bracket falls back to its
+                # midpoint, so no t above the barrier cap is ever solved
+                t = t_next if lo < t_next < hi else 0.5 * (lo + hi)
+            else:
                 raise BracketError(
-                    f"bisection did not match the boundary gradient at m={m}"
+                    f"no outer value in [{lo:.8g}, {hi:.8g}] matched the boundary "
+                    f"gradient s={s} at m={m} in {MAX_OUTER_EVALS} solves"
                 )
+            t_m = t
 
         logger.info("exterior m=%g: t_m=%.8g cap=%.8g gradient=%.6g", m, t_m, cap, grad)
         if prev_field is not None:

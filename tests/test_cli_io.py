@@ -170,6 +170,13 @@ def test_cli_exterior_small(tmp_path, capsys):
     assert set(cols) == {"r", "u"}
 
 
+@pytest.mark.parametrize("s", ["inf", "nan"])
+def test_cli_exterior_non_finite_s_is_usage_error(s, capsys):
+    code = main(["exterior", "--s", s, "--schedule", "3", "--n-r", "24", "--n-theta", "12"])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exits_one(tmp_path, capsys):
     cfgfile = tmp_path / "starved.cfg"
     cfgfile.write_text("n_r = 48\nn_theta = 16\nmax_newton = 1\n")

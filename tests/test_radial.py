@@ -124,10 +124,10 @@ def test_barrier_normalization():
         f0, fp0 = rd.barrier_f(params, 0.0)
         assert f0 == 0.0
         assert abs(fp0 - s) <= 1e-12
-    with pytest.raises(ValueError):
-        rd.BarrierParams(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        rd.BarrierParams(1.0, 0.0)
+    for s, alpha in ((-1.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0),
+                     (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            rd.BarrierParams(s, alpha)
 
 
 def test_barrier_ode_residual():

@@ -64,6 +64,14 @@ def test_config_validation_and_file(tmp_path):
     assert any(line.startswith("schedule") for line in cfg.to_lines())
 
 
+@pytest.mark.parametrize("name", ["newton_tol", "bisection_tol"])
+@pytest.mark.parametrize("bad", [0.0, -1e-6, math.nan, math.inf])
+def test_config_rejects_bad_tolerances(name, bad):
+    # NaN passes a plain `tol <= 0` check, and Newton would then never stop
+    with pytest.raises(ValueError):
+        sv.SolverConfig(**{name: bad})
+
+
 # ---------------------------------------------------------------- operator
 
 
@@ -250,7 +258,7 @@ def test_exterior_small_schedule():
     cfg = small_cfg()
     sol = sv.exterior_solve(0.5, 1.0, cfg)
     for t_m, cap in zip(sol.t_trace, sol.barrier_caps):
-        assert 0 < t_m <= cap + cfg.bisection_tol
+        assert 0 < t_m <= cap
     for grad in sol.boundary_gradients:
         assert abs(grad - 0.5) <= cfg.bisection_tol
     assert np.max(sol.u.max(axis=1) - sol.u.min(axis=1)) <= 10 * cfg.newton_tol
@@ -259,6 +267,56 @@ def test_exterior_small_schedule():
         sv.exterior_solve(-1.0, 1.0, cfg)
     with pytest.raises(ValueError):
         sv.exterior_solve(0.5, 0.0, cfg)
+
+
+@pytest.mark.parametrize(
+    "s, r0", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)]
+)
+def test_exterior_rejects_non_finite_input(s, r0):
+    with pytest.raises(ValueError):
+        sv.exterior_solve(s, r0, small_cfg())
+
+
+def _record_outer_values(monkeypatch):
+    """Route exterior_solve's Dirichlet solves through a recorder of (m, t)."""
+    solves = []
+    solve = sv.dirichlet_solve
+
+    def recording_solve(grid, inner, outer, cfg, u0=None):
+        solves.append((float(grid.r[-1]), outer))
+        return solve(grid, inner, outer, cfg, u0=u0)
+
+    monkeypatch.setattr(sv, "dirichlet_solve", recording_solve)
+    return solves
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_exterior_outer_search_counters(monkeypatch, s):
+    cfg = small_cfg()
+    solves = _record_outer_values(monkeypatch)
+    sol = sv.exterior_solve(s, 1.0, cfg)
+    prev_t = 0.0
+    for m, t_m, cap, grad in zip(
+        sol.schedule, sol.t_trace, sol.barrier_caps, sol.boundary_gradients
+    ):
+        outer = [t for mm, t in solves if mm == m]
+        assert 1 <= len(outer) <= 3
+        assert all(prev_t <= t <= cap for t in outer)
+        assert abs(grad - s) <= cfg.bisection_tol
+        prev_t = t_m
+
+
+def test_exterior_gives_up_below_the_cap(monkeypatch):
+    cfg = small_cfg(schedule=(3.0,))
+    solves = _record_outer_values(monkeypatch)
+    # a gradient that grows with t but stays below s = 0.5 up to the cap
+    # (about 1.08): every secant step overshoots the cap
+    monkeypatch.setattr(sv, "boundary_gradient_sup", lambda u, grid: 0.1 * u[-1, 0])
+    with pytest.raises(sv.BracketError):
+        sv.exterior_solve(0.5, 1.0, cfg)
+    cap = rd.barrier_f(rd.BarrierParams(0.5, 1.0), 2.0)[0]
+    assert len(solves) == sv.MAX_OUTER_EVALS
+    assert all(0 < t <= cap for _, t in solves)
 
 
 def test_exterior_outer_rim_gradient_capped_by_barrier_slope():
