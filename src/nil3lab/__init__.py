@@ -29,7 +29,6 @@ from .surface import (
     second_fundamental_form_slice,
     splitting_isometry,
     splitting_isometry_inverse,
-    warp,
     warp_g,
 )
 from .radial import (

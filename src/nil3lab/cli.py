@@ -43,7 +43,7 @@ def _solver_config(args) -> solver.SolverConfig:
     else:
         cfg = solver.SolverConfig()
     overrides = {}
-    for name in ("n_r", "n_theta", "newton_tol", "bisection_tol"):
+    for name in ("n_r", "n_theta"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val

@@ -79,8 +79,10 @@ class CatenoidParams:
     t0: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("flux parameter c must be positive")
+        if not math.isfinite(self.c) or self.c <= 0:
+            raise ValueError("flux parameter c must be finite and positive")
+        if not math.isfinite(self.t0):
+            raise ValueError("neck radius t0 must be finite")
         if self.t0 < t0_min(self.c) - 1e-12:
             raise ValueError(
                 f"neck radius t0={self.t0} below the admissible minimum "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -179,20 +179,27 @@ class SolverConfig:
     compact_rmax: float = 4.0
 
     def __post_init__(self):
-        for tol in (self.newton_tol, self.bisection_tol):
-            if not math.isfinite(tol) or tol <= 0:
-                raise ValueError("tolerances must be finite and positive")
+        self.schedule = tuple(float(m) for m in self.schedule)
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
+        if self.newton_tol <= 0 or self.bisection_tol <= 0:
+            raise ValueError("tolerances must be positive")
         if not 0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
-        self.schedule = tuple(float(m) for m in self.schedule)
         if len(self.schedule) and np.any(np.diff(self.schedule) <= 0):
             raise ValueError("schedule must be strictly increasing")
 
     @classmethod
     def from_file(cls, path) -> "SolverConfig":
-        """Parse a plain-text key=value file; '#' starts a comment."""
+        """Parse a plain-text key=value file; '#' starts a comment.
+
+        Each value is parsed by the type of its field's default; a tuple is a
+        comma-separated list of floats.
+        """
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
         with open(path) as fh:
             for raw in fh:
@@ -202,36 +209,25 @@ class SolverConfig:
                 if "=" not in line:
                     raise ValueError(f"bad config line (expected key=value): {raw!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
-                if key == "schedule":
-                    kwargs[key] = tuple(float(v) for v in val.split(","))
-                elif key in ("max_newton", "n_r", "n_theta"):
-                    kwargs[key] = int(val)
-                elif key in (
-                    "newton_tol",
-                    "damping",
-                    "bisection_tol",
-                    "grading",
-                    "r_core",
-                    "compact_rmax",
-                ):
-                    kwargs[key] = float(val)
-                else:
+                if key not in kinds:
                     raise ValueError(f"unknown config key {key!r}")
+                if kinds[key] is tuple:
+                    kwargs[key] = tuple(float(v) for v in val.split(","))
+                else:
+                    kwargs[key] = kinds[key](val)
         return cls(**kwargs)
 
     def to_lines(self) -> list[str]:
-        return [
-            f"newton_tol = {self.newton_tol:g}",
-            f"max_newton = {self.max_newton}",
-            f"damping = {self.damping:g}",
-            f"n_r = {self.n_r}",
-            f"n_theta = {self.n_theta}",
-            "schedule = " + ",".join(f"{m:g}" for m in self.schedule),
-            f"bisection_tol = {self.bisection_tol:g}",
-            f"grading = {self.grading:g}",
-            f"r_core = {self.r_core:g}",
-            f"compact_rmax = {self.compact_rmax:g}",
-        ]
+        """key = value lines, one per field, that `from_file` reads back exactly.
+
+        str of a float is its shortest round-trip repr.
+        """
+        lines = []
+        for f in fields(self):
+            val = getattr(self, f.name)
+            text = ",".join(map(str, val)) if isinstance(val, tuple) else str(val)
+            lines.append(f"{f.name} = {text}")
+        return lines
 
 
 def _radial_derivative_nodes(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -438,6 +434,8 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         u = np.array(u0, dtype=float, copy=True)
         if u.shape != grid.shape:
             raise ValueError("initial guess shape does not match the grid")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("initial guess must be finite")
     if grid.inner == "dirichlet":
         u[0] = inner_vals
     u[-1] = outer_vals

@@ -40,7 +40,6 @@ __all__ = [
     "circle_action",
     "splitting_isometry",
     "splitting_isometry_inverse",
-    "warp",
     "warp_g",
     "geodesic_circle_curvature",
     "orbit_point",
@@ -168,27 +167,13 @@ def splitting_isometry_inverse(g: GroupElement) -> tuple[SurfacePoint, CenterEle
     return SurfacePoint(g.x, g.y), CenterElement(g.z - g.x * g.y / 2.0)
 
 
-def warp(r):
-    """Warp function of the slice metric dr^2 + g(r)^2 dtheta^2.
-
-    Returns (g, g', g'') with g(r) = sqrt(r^2 + r^4/8); g(0) = 0, g'(0) = 1.
-    Accepts scalars or arrays; negative radii are rejected.
-    """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("warp radius must be nonnegative")
-    w = 1.0 + r * r / 8.0
-    sw = np.sqrt(w)
-    g = r * sw
-    gp = (1.0 + r * r / 4.0) / sw
-    gpp = r * (3.0 + r * r / 4.0) / (8.0 * w * sw)
-    if r.ndim == 0:
-        return float(g), float(gp), float(gpp)
-    return g, gp, gpp
-
-
 def warp_g(r):
-    """Just g(r); the workhorse metric weight of the polar-grid solver."""
+    """Warp function g(r) = sqrt(r^2 + r^4/8) of the slice metric dr^2 + g(r)^2 dtheta^2.
+
+    g(0) = 0 and g'(0) = 1.  Accepts scalars or arrays; negative radii are
+    rejected.  The closed forms `geodesic_circle_curvature` (g'/g) and
+    `curvature_from_warp` (-g''/g) are derived from this g.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("warp radius must be nonnegative")
@@ -280,13 +265,12 @@ CurvatureCandidates = namedtuple("CurvatureCandidates", ["k_doubled", "k_warp"])
 def curvature_closed_forms(p: SurfacePoint) -> CurvatureCandidates:
     """Both closed-form curvature candidates at p, for the adjudication report.
 
-    k_warp = -g''/g = -(x^2 + y^2 + 6) / (x^2 + y^2 + 4)^2 agrees with the
-    independent oracles (`gaussian_curvature_riemann`, orbit-length warp);
-    k_doubled = 2 * k_warp is the competing constant and is kept so the
-    discrepancy can be reported rather than silently resolved.
+    k_warp = -g''/g, `curvature_from_warp` at the distance of p to the
+    identity, agrees with the independent oracles (`gaussian_curvature_riemann`,
+    orbit-length warp); k_doubled = 2 * k_warp is the competing constant and is
+    kept so the discrepancy can be reported rather than silently resolved.
     """
-    rho2 = p.x * p.x + p.y * p.y
-    k_warp = -(rho2 + 6.0) / (rho2 + 4.0) ** 2
+    k_warp = curvature_from_warp(distance_to_identity(p))
     return CurvatureCandidates(2.0 * k_warp, k_warp)
 
 

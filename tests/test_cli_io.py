@@ -177,6 +177,20 @@ def test_cli_exterior_non_finite_s_is_usage_error(s, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotic", "--schedule", "8,inf", "--n-r", "33", "--n-theta", "16"],
+        ["catenoid", "--c", "nan", "--t0", "1"],
+        ["verify", "--tol", "nan"],
+    ],
+    ids=["asymptotic-schedule", "catenoid-c", "verify-tol"],
+)
+def test_cli_non_finite_input_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exits_one(tmp_path, capsys):
     cfgfile = tmp_path / "starved.cfg"
     cfgfile.write_text("n_r = 48\nn_theta = 16\nmax_newton = 1\n")

@@ -34,6 +34,12 @@ def test_catenoid_params_validation():
     rd.CatenoidParams(3.0, 2.0)
 
 
+@pytest.mark.parametrize("c, t0", [(math.nan, 1.0), (math.inf, 1.0), (3.0, math.nan), (3.0, math.inf)])
+def test_catenoid_params_reject_non_finite(c, t0):
+    with pytest.raises(ValueError, match="finite"):
+        rd.CatenoidParams(c, t0)
+
+
 def test_catenoid_height_at_neck_and_monotone():
     params = rd.CatenoidParams(3.0, 1.0)
     assert rd.catenoid_height(params, 1.0) == 0.0

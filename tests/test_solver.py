@@ -70,6 +70,41 @@ def test_config_rejects_bad_tolerances(name, bad):
     # NaN passes a plain `tol <= 0` check, and Newton would then never stop
     with pytest.raises(ValueError):
         sv.SolverConfig(**{name: bad})
+    # the schedule entries and the other float fields are checked for finiteness too
+    with pytest.raises(ValueError):
+        sv.SolverConfig(schedule=(4.0, bad))
+    if not math.isfinite(bad):
+        with pytest.raises(ValueError):
+            sv.SolverConfig(grading=bad)
+
+
+def test_config_file_round_trip(tmp_path):
+    cfg = sv.SolverConfig(
+        newton_tol=1.2345678912e-10,
+        max_newton=17,
+        damping=0.7310585786300049,
+        n_r=37,
+        n_theta=18,
+        schedule=(3.3, 7.123456789012345),
+        bisection_tol=2.718281828459045e-4,
+        grading=1.1,
+        r_core=0.0123456789,
+        compact_rmax=3.14159,
+    )
+    path = tmp_path / "echo.cfg"
+    path.write_text("\n".join(cfg.to_lines()) + "\n")
+    assert sv.SolverConfig.from_file(path) == cfg
+
+
+def test_readme_lists_every_config_key():
+    import dataclasses
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"`--config` \(keys: (.*?)\)", readme, re.S).group(1)
+    keys = re.findall(r"`(\w+)`", sentence)
+    assert keys == [f.name for f in dataclasses.fields(sv.SolverConfig)]
 
 
 # ---------------------------------------------------------------- operator
@@ -198,6 +233,15 @@ def test_newton_failure_reports_residual():
         sv.dirichlet_solve(grid, 0.0, BoundaryData.cosine(1.4), cfg,
                            u0=np.zeros(grid.shape))
     assert math.isfinite(excinfo.value.last_residual)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_dirichlet_solve_rejects_non_finite_guess(bad):
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 16, 8)
+    u0 = np.zeros(grid.shape)
+    u0[5, 3] = bad
+    with pytest.raises(ValueError, match="initial guess"):
+        sv.dirichlet_solve(grid, 0.0, 1.0, small_cfg(), u0=u0)
 
 
 def test_newton_emits_one_log_line_per_step(caplog):

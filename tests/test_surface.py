@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nil3lab.nilcore import ChartPoint, GroupElement, TangentVector, christoffel_closed_form
 from nil3lab import surface as sf
+from nil3lab.verify import balanced_gram, fd_pushforward
 
 SQRT2 = math.sqrt(2.0)
 
@@ -115,34 +116,19 @@ def test_circle_action_preserves_slice_exactly():
 
 
 def test_circle_action_isometry():
-    from nil3lab.nilcore import balanced_metric_from_translations, tangent_from_matrix_velocity
-
     rng = np.random.default_rng(12)
-    h = 1e-3
+    frame = np.eye(3)
     for _ in range(10):
-        x, y, z = rng.uniform(-3, 3, size=3)
+        q = rng.uniform(-3, 3, size=3)
         ang = rng.uniform(0, 2 * math.pi)
-        g = GroupElement(x, y, z)
-        img = sf.circle_action(ang, g)
-        vels = np.eye(3)
-        pushed = []
-        for k in range(3):
-            gp = sf.circle_action(ang, GroupElement(x + h * vels[k][0], y + h * vels[k][1], z + h * vels[k][2]))
-            gm = sf.circle_action(ang, GroupElement(x - h * vels[k][0], y - h * vels[k][1], z - h * vels[k][2]))
-            pushed.append(np.array([gp.x - gm.x, gp.y - gm.y, gp.z - gm.z]) / (2 * h))
-        for i in range(3):
-            for j in range(3):
-                before = balanced_metric_from_translations(
-                    g,
-                    tangent_from_matrix_velocity(g.to_chart(), vels[i]),
-                    tangent_from_matrix_velocity(g.to_chart(), vels[j]),
-                )
-                after = balanced_metric_from_translations(
-                    img,
-                    tangent_from_matrix_velocity(img.to_chart(), pushed[i]),
-                    tangent_from_matrix_velocity(img.to_chart(), pushed[j]),
-                )
-                assert abs(after - before) <= 1e-8
+
+        def rotate(qq):
+            return sf.circle_action(ang, GroupElement(*qq))
+
+        pushed = [fd_pushforward(rotate, q, e) for e in frame]
+        before = balanced_gram(GroupElement(*q), frame)
+        after = balanced_gram(rotate(q), pushed)
+        assert np.max(np.abs(after - before)) <= 1e-8
 
 
 def test_splitting_examples_and_inverse():
@@ -163,32 +149,20 @@ def test_splitting_examples_and_inverse():
 
 
 def test_splitting_pullback_is_product_metric():
-    from nil3lab.nilcore import balanced_metric_from_translations, metric_closed_form, tangent_from_matrix_velocity
+    from nil3lab.nilcore import metric_closed_form
+
+    def psi(q):
+        return sf.splitting_isometry(sf.SurfacePoint(q[0], q[1]), sf.CenterElement(q[2]))
 
     rng = np.random.default_rng(13)
-    h = 1e-3
     for _ in range(15):
-        x, y, t = rng.uniform(-4, 4, size=3)
-        g = sf.splitting_isometry(sf.SurfacePoint(x, y), sf.CenterElement(t))
-        met = metric_closed_form(ChartPoint(x, y, 0.0))
+        q = rng.uniform(-4, 4, size=3)
+        met = metric_closed_form(ChartPoint(q[0], q[1], 0.0))
         block = np.array(
             [[met.exx, met.exy, 0.0], [met.exy, met.eyy, 0.0], [0.0, 0.0, 2.0]]
         )
-        cols = []
-        for k in range(3):
-            d = np.zeros(3)
-            d[k] = h
-            gp = sf.splitting_isometry(sf.SurfacePoint(x + d[0], y + d[1]), sf.CenterElement(t + d[2]))
-            gm = sf.splitting_isometry(sf.SurfacePoint(x - d[0], y - d[1]), sf.CenterElement(t - d[2]))
-            cols.append(np.array([gp.x - gm.x, gp.y - gm.y, gp.z - gm.z]) / (2 * h))
-        for i in range(3):
-            for j in range(3):
-                val = balanced_metric_from_translations(
-                    g,
-                    tangent_from_matrix_velocity(g.to_chart(), cols[i]),
-                    tangent_from_matrix_velocity(g.to_chart(), cols[j]),
-                )
-                assert abs(val - block[i, j]) <= 1e-10
+        cols = [fd_pushforward(psi, q, e) for e in np.eye(3)]
+        assert np.max(np.abs(balanced_gram(psi(q), cols) - block)) <= 1e-10
 
 
 def test_center_arc_length():
@@ -196,12 +170,25 @@ def test_center_arc_length():
 
 
 def test_warp_values():
-    g0, gp0, _ = sf.warp(0.0)
-    assert g0 == 0.0 and gp0 == 1.0
-    g2, _, _ = sf.warp(2.0)
-    assert g2 == pytest.approx(math.sqrt(6.0), abs=1e-14)
+    assert sf.warp_g(0.0) == 0.0
+    assert sf.warp_g(2.0) == pytest.approx(math.sqrt(6.0), abs=1e-14)
+    assert np.allclose(sf.warp_g(np.array([0.0, 2.0])), [0.0, math.sqrt(6.0)], atol=1e-14)
     with pytest.raises(ValueError):
-        sf.warp(-0.5)
+        sf.warp_g(-0.5)
+
+
+def test_warp_closed_forms_derive_from_warp_g():
+    # g'/g and -g''/g by central differences of the one g
+    h = 1e-3
+    for r in (0.5, 1.0, 2.0, 5.0, 10.0):
+        gm, g, gp = sf.warp_g(r - h), sf.warp_g(r), sf.warp_g(r + h)
+        assert sf.geodesic_circle_curvature(r) == pytest.approx((gp - gm) / (2 * h) / g, rel=1e-6)
+        assert sf.curvature_from_warp(r) == pytest.approx(-(gp - 2 * g + gm) / h**2 / g, rel=1e-6)
+    for x, y in ((0.0, 0.0), (0.3, -1.2), (2.5, 4.0)):
+        p = sf.SurfacePoint(x, y)
+        assert sf.curvature_closed_forms(p).k_warp == sf.curvature_from_warp(
+            sf.distance_to_identity(p)
+        )
 
 
 def test_warp_against_orbit_length():

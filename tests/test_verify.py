@@ -155,6 +155,12 @@ def test_claim_reports_structure_and_determinism():
         assert a.values == b.values
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+def test_claim_checks_reject_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        vf.run_claim_checks(tol)
+
+
 def test_claims_serialization():
     import json
 
