@@ -6,10 +6,10 @@ is (1/g) [ d_r(g u_r / W) + d_theta(u_theta / (g W)) ] with fluxes evaluated
 on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
-Nonlinear solves use damped Newton: the Jacobian of the 9-point stencil is
-assembled from structurally orthogonal finite differences (a 3 x 3 or 3 x 4
-coloring of the grid), the linear systems go through a direct sparse
-factorization, and the damping is Armijo-style halving from cfg.damping on
+Nonlinear solves use damped Newton: the 9-point Jacobian stencil is filled
+from structurally orthogonal finite differences (a 3 x 4 coloring of the
+grid), solved exactly by block elimination in r (each ring couples only to
+its two neighbours), and damped by Armijo-style halving from the full step on
 residual increase.  One log line is emitted per Newton step on the
 "nil3lab.solver" logger.
 
@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
 from .nilcore import ChartPoint, metric_closed_form
 from .radial import (
@@ -169,7 +167,6 @@ class SolverConfig:
 
     newton_tol: float = 1e-10
     max_newton: int = 40
-    damping: float = 1.0
     n_r: int = 256
     n_theta: int = 64
     schedule: tuple = (4.0, 8.0, 16.0, 32.0)
@@ -185,8 +182,6 @@ class SolverConfig:
                 raise ValueError(f"{f.name} must be finite")
         if self.newton_tol <= 0 or self.bisection_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if not 0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if self.max_newton < 1:
             raise ValueError("max_newton must be at least 1")
         if len(self.schedule) and np.any(np.diff(self.schedule) <= 0):
@@ -341,45 +336,57 @@ def _solve_residual(u, grid, inner_vals, outer_vals):
     return res
 
 
-def _newton_jacobian(u, grid, inner_vals, outer_vals, res0) -> sp.csr_matrix:
-    """Jacobian by structurally orthogonal finite differences.
+def _newton_jacobian(u, grid, inner_vals, outer_vals, res0) -> np.ndarray:
+    """Jacobian stencil by structurally orthogonal finite differences.
 
-    The residual stencil is 9-point, so grid nodes colored by
-    (i mod 3, j mod kt) with kt in {3, 4} (kt | n_theta) have disjoint row
+    stencil[i, j, 1+di, 1+dj] is the derivative of residual (i, j) with
+    respect to u at (i+di, j+dj mod n_theta).  The residual stencil is
+    9-point, so the colors (i mod 3, j mod 4) (4 | n_theta) have disjoint row
     supports and one perturbed residual evaluation recovers a whole color's
     worth of Jacobian columns.
     """
     n1, m = u.shape
-    kr = 3
-    kt = 3 if m % 3 == 0 else 4
     step = 1e-7 * (1.0 + np.abs(u))
-    node_id = np.arange(n1 * m).reshape(n1, m)
-    ii_grid, jj_grid = np.meshgrid(np.arange(n1), np.arange(m), indexing="ij")
+    color = (np.arange(n1) % 3)[:, None] * 4 + np.arange(m) % 4
+    dres = np.stack([
+        _solve_residual(u + np.where(color == c, step, 0.0), grid, inner_vals, outer_vals)
+        for c in range(12)
+    ]) - res0
+    stencil = np.empty((n1, m, 3, 3))
+    for a, b in np.ndindex(3, 3):
+        # (i+a-1, j+b-1) is the one node of its color in the stencil of (i, j)
+        shift = (1 - a, 1 - b)
+        nb_color, nb_step = (np.roll(arr, shift, axis=(0, 1)) for arr in (color, step))
+        stencil[:, :, a, b] = np.take_along_axis(dres, nb_color[None], 0)[0] / nb_step
+    # the radial roll wrapped the first and last rows around to each other
+    stencil[0, :, 0] = stencil[-1, :, 2] = 0.0
+    return stencil
 
-    rows, cols, vals = [], [], []
-    for ci in range(kr):
-        for cj in range(kt):
-            mask = ((ii_grid % kr) == ci) & ((jj_grid % kt) == cj)
-            if not mask.any():
-                continue
-            du = np.where(mask, step, 0.0)
-            dres = _solve_residual(u + du, grid, inner_vals, outer_vals) - res0
-            ii, jj = np.nonzero(mask)
-            for di in (-1, 0, 1):
-                ri = ii + di
-                ok = (ri >= 0) & (ri < n1)
-                if not ok.any():
-                    continue
-                for dj in (-1, 0, 1):
-                    rj = (jj[ok] + dj) % m
-                    rows.append(node_id[ri[ok], rj])
-                    cols.append(node_id[ii[ok], jj[ok]])
-                    vals.append(dres[ri[ok], rj] / step[ii[ok], jj[ok]])
-    jac = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n1 * m, n1 * m),
-    )
-    return jac.tocsr()
+
+def _block_solve(stencil: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stencil's linear system exactly by block elimination in r.
+
+    Ring i couples only to rings i-1 and i+1, through periodic-tridiagonal
+    n_theta x n_theta blocks: eliminate outward, keeping gain[i] = D_i^-1 C_i,
+    then back-substitute.  An exactly singular pivot block raises LinAlgError.
+    """
+    n1, m = rhs.shape
+    rows = np.arange(m)[:, None]
+    cols = (rows + np.arange(-1, 2)) % m
+    gain = np.empty((n1, m, m))
+    x = np.empty((n1, m))
+    for i in range(n1):
+        blocks = np.zeros((3, m, m))  # couplings to rings i-1, i, i+1
+        blocks[:, rows, cols] = stencil[i].swapaxes(0, 1)
+        diag, b = blocks[1], rhs[i]
+        if i > 0:
+            diag = diag - blocks[0] @ gain[i - 1]
+            b = b - blocks[0] @ x[i - 1]
+        sol = np.linalg.solve(diag, np.column_stack([blocks[2], b]))
+        gain[i], x[i] = sol[:, :m], sol[:, m]
+    for i in range(n1 - 2, -1, -1):
+        x[i] -= gain[i] @ x[i + 1]
+    return x
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -448,21 +455,22 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     def merit(res):
         return float(np.sqrt(np.sum((res * wts) ** 2)))
 
-    omega_used = cfg.damping
+    omega_used = 1.0
     for it in range(cfg.max_newton):
         res = _solve_residual(u, grid, inner_vals, outer_vals)
         rnorm = float(np.max(np.abs(res)))
         logger.info("newton iter=%d residual=%.3e damping=%.3g", it, rnorm, omega_used)
         if rnorm <= cfg.newton_tol:
             return u
-        jac = _newton_jacobian(u, grid, inner_vals, outer_vals, res)
-        du = spsolve(jac, -res.ravel())
+        try:
+            du = _block_solve(_newton_jacobian(u, grid, inner_vals, outer_vals, res), -res)
+        except np.linalg.LinAlgError:
+            du = np.full(u.shape, np.nan)
         if not np.all(np.isfinite(du)):
             raise NewtonError("singular linearization in Newton step", rnorm)
-        du = du.reshape(u.shape)
 
         m0 = merit(res)
-        omega = cfg.damping
+        omega = 1.0
         accepted = False
         while omega > 1e-6:
             trial = u + omega * du
@@ -663,8 +671,9 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
     reported, not asserted.
     """
     radii = [float(x) for x in (radii if radii is not None else cfg.schedule)]
-    if not radii or np.any(np.diff(radii) <= 0):
-        raise ValueError("radii must be a strictly increasing sequence")
+    if not (radii and np.all(np.isfinite(radii)) and radii[0] > cfg.r_core
+            and np.all(np.diff(radii) > 0)):
+        raise ValueError(f"radii {radii} must be finite, increasing and above r_core={cfg.r_core}")
     if radii[0] <= cfg.compact_rmax:
         logger.info(
             "smallest disk radius %g is inside the compact window %g",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from nil3lab import radial as rd
 from nil3lab import solver as sv
@@ -41,8 +43,6 @@ def test_config_validation_and_file(tmp_path):
     with pytest.raises(ValueError):
         sv.SolverConfig(newton_tol=0.0)
     with pytest.raises(ValueError):
-        sv.SolverConfig(damping=1.5)
-    with pytest.raises(ValueError):
         sv.SolverConfig(schedule=(4.0, 4.0))
     path = tmp_path / "solver.cfg"
     path.write_text(
@@ -50,13 +50,11 @@ def test_config_validation_and_file(tmp_path):
         "# a comment\n"
         "n_r = 48\n"
         "schedule = 3,6,9\n"
-        "damping = 0.5\n"
     )
     cfg = sv.SolverConfig.from_file(path)
     assert cfg.newton_tol == 1e-9
     assert cfg.n_r == 48
     assert cfg.schedule == (3.0, 6.0, 9.0)
-    assert cfg.damping == 0.5
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 12\n")
     with pytest.raises(ValueError):
@@ -82,7 +80,6 @@ def test_config_file_round_trip(tmp_path):
     cfg = sv.SolverConfig(
         newton_tol=1.2345678912e-10,
         max_newton=17,
-        damping=0.7310585786300049,
         n_r=37,
         n_theta=18,
         schedule=(3.3, 7.123456789012345),
@@ -180,6 +177,77 @@ def test_cartesian_chart_cross_validation():
         sv.cartesian_operator_residual(bowl, 1.0, 1.0, step=0.0)
 
 
+# ---------------------------------------------------------------- linearization
+
+
+def _stencil_matrix(stencil):
+    """CSR matrix of a Jacobian stencil: row (i, j), column (i+di, j+dj mod n_theta)."""
+    n1, m = stencil.shape[:2]
+    node = np.arange(n1 * m).reshape(n1, m)
+    i, j = np.meshgrid(np.arange(n1), np.arange(m), indexing="ij")
+    rows, cols, vals = [], [], []
+    for di in (-1, 0, 1):
+        ok = (i + di >= 0) & (i + di < n1)
+        for dj in (-1, 0, 1):
+            rows.append(node[ok])
+            cols.append(node[(i + di)[ok], ((j + dj) % m)[ok]])
+            vals.append(stencil[:, :, 1 + di, 1 + dj][ok])
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n1 * m, n1 * m),
+    )
+
+
+def _linearization_state(kind, n_theta, grading):
+    """Grid, boundary rows and a non-radial state: the cosine default guess plus a mode-2 bump."""
+    if kind == "annulus":
+        grid = sv.AnnulusGrid.annulus(1.0, 4.0, 33, n_theta, grading=grading)
+        inner_vals = np.zeros(n_theta)
+    else:
+        grid = sv.AnnulusGrid.disk(6.0, 33, n_theta)
+        inner_vals = None
+    outer_vals = BoundaryData.cosine(1.0)(grid.theta)
+    xi = ((grid.r - grid.r[0]) / (grid.r[-1] - grid.r[0]))[:, None]
+    u = sv._default_guess(grid, inner_vals, outer_vals)
+    u = u + 0.3 * np.sin(math.pi * xi) * np.cos(2.0 * grid.theta)[None, :]
+    return grid, inner_vals, outer_vals, u, xi
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+@pytest.mark.parametrize("n_theta", [8, 16])
+def test_block_solve_matches_sparse_oracle(kind, n_theta):
+    # at n_theta = 8 the periodic wrap couples j = 0 and j = 7 in every block
+    grid, inner_vals, outer_vals, u, _ = _linearization_state(kind, n_theta, grading=2.0)
+    res = sv._solve_residual(u, grid, inner_vals, outer_vals)
+    stencil = sv._newton_jacobian(u, grid, inner_vals, outer_vals, res)
+    assert stencil.shape == grid.shape + (3, 3)
+    rhs = np.random.default_rng(4).standard_normal(grid.shape)
+    x = sv._block_solve(stencil, rhs)
+    ref = spsolve(_stencil_matrix(stencil), rhs.ravel()).reshape(grid.shape)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+def test_jacobian_taylor_remainder(kind):
+    # |R(u + eps v) - R(u) - eps J v| is O(eps^2) when J is the linearization.
+    # v is smooth and the annulus uniform: a random v is not in the asymptotic
+    # range at these eps, and on a graded grid the small inner cells let the
+    # finite-difference Jacobian's own O(step) error show
+    grid, inner_vals, outer_vals, u, xi = _linearization_state(kind, 16, grading=1.0)
+    th = grid.theta[None, :]
+    v = np.sin(math.pi * xi) * (1.0 + np.cos(th) + 0.5 * np.sin(3.0 * th))
+    res = sv._solve_residual(u, grid, inner_vals, outer_vals)
+    jv = (_stencil_matrix(sv._newton_jacobian(u, grid, inner_vals, outer_vals, res))
+          @ v.ravel()).reshape(grid.shape)
+    remainders = [
+        np.max(np.abs(sv._solve_residual(u + eps * v, grid, inner_vals, outer_vals)
+                      - res - eps * jv))
+        for eps in 1e-2 / 2.0 ** np.arange(5)
+    ]
+    ratios = [a / b for a, b in zip(remainders, remainders[1:])]
+    assert all(3.5 <= q <= 4.5 for q in ratios), ratios
+
+
 # ---------------------------------------------------------------- Dirichlet solves
 
 
@@ -233,6 +301,28 @@ def test_newton_failure_reports_residual():
         sv.dirichlet_solve(grid, 0.0, BoundaryData.cosine(1.4), cfg,
                            u0=np.zeros(grid.shape))
     assert math.isfinite(excinfo.value.last_residual)
+
+
+def test_singular_linearization_raises_newton_error(monkeypatch):
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 16, 8)
+    monkeypatch.setattr(sv, "_newton_jacobian", lambda u, *a: np.zeros(u.shape + (3, 3)))
+    with pytest.raises(sv.NewtonError, match="singular linearization"):
+        sv.dirichlet_solve(grid, 0.0, 1.0, small_cfg())
+
+
+@pytest.mark.parametrize(
+    "r_in, r_out, grading, t", [(1.0, 3.0, 1.0, 0.8), (1.0, 4.0, 2.0, 1.0)]
+)
+def test_solution_convergence_order(r_in, r_out, grading, t):
+    # error of the Newton solution itself against the radial flux oracle
+    errors = []
+    for n in (65, 129, 257):
+        grid = sv.AnnulusGrid.annulus(r_in, r_out, n, 16, grading=grading)
+        u = sv.dirichlet_solve(grid, 0.0, t, small_cfg(n_r=n))
+        prof = rd.radial_mse_solve(r_in, r_out, 0.0, t, nodes=grid.r)
+        errors.append(float(np.max(np.abs(u - prof.value[:, None]))))
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(o >= 1.8 for o in orders), orders
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -418,3 +508,10 @@ def test_asymptotic_cosine_properties():
         assert np.all(u2 >= u1 - 10 * cfg.newton_tol)
     with pytest.raises(ValueError):
         sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(10.0, 6.0))
+
+
+@pytest.mark.parametrize("radii", [(8.0, math.inf), (8.0, math.nan), (-1.0, 8.0)])
+def test_asymptotic_rejects_bad_radii(monkeypatch, radii):
+    monkeypatch.setattr(sv.AnnulusGrid, "disk", None)  # no grid may be built
+    with pytest.raises(ValueError, match="radii"):
+        sv.asymptotic_solve(BoundaryData.cosine(1.0), small_cfg(), radii=radii)
