@@ -8,10 +8,15 @@ discrete solution inherits a maximum principle on the tested data.
 
 Nonlinear solves use damped Newton: the 9-point Jacobian stencil is filled
 from structurally orthogonal finite differences (a 3 x 4 coloring of the
-grid), solved exactly by block elimination in r (each ring couples only to
-its two neighbours), and damped by Armijo-style halving from the full step on
-residual increase.  One log line is emitted per Newton step on the
-"nil3lab.solver" logger.
+grid), factored exactly by block elimination in r (each ring couples only to
+its two neighbours), and each step is damped by Armijo-style halving from the
+full step on residual increase.  The factorization is built at the first
+step and kept while the merit contracts: a step that does not cut it tenfold
+(REFRESH_RATIO) refactors for the next one, and a step with kept factors
+that is not finite or fails the line search is retried at the same iterate
+with fresh factors.  One log line is emitted per Newton step on the
+"nil3lab.solver" logger; its jacobian= field says whether the step from that
+iterate starts from a fresh factorization or from kept factors.
 
 Two boundary-value programs sit on top:
 
@@ -31,6 +36,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .nilcore import ChartPoint, metric_closed_form
 from .radial import (
@@ -47,6 +53,9 @@ logger = logging.getLogger("nil3lab.solver")
 
 # Dirichlet solves the exterior outer-value search spends on one m at most
 MAX_OUTER_EVALS = 30
+# the Jacobian is refactored after a Newton step that leaves the merit above
+# this fraction of its old value; otherwise the next step reuses the factors
+REFRESH_RATIO = 0.1
 
 __all__ = [
     "AnnulusGrid",
@@ -186,6 +195,11 @@ class SolverConfig:
             raise ValueError("max_newton must be at least 1")
         if len(self.schedule) and np.any(np.diff(self.schedule) <= 0):
             raise ValueError("schedule must be strictly increasing")
+        if self.compact_rmax <= self.r_core:
+            raise ValueError(
+                f"compact window r <= compact_rmax={self.compact_rmax:g} must reach "
+                f"beyond r_core={self.r_core:g}"
+            )
 
     @classmethod
     def from_file(cls, path) -> "SolverConfig":
@@ -363,30 +377,55 @@ def _newton_jacobian(u, grid, inner_vals, outer_vals, res0) -> np.ndarray:
     return stencil
 
 
-def _block_solve(stencil: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the stencil's linear system exactly by block elimination in r.
+def _block_factor(stencil: np.ndarray):
+    """Factor the stencil's linear system by block elimination in r.
 
     Ring i couples only to rings i-1 and i+1, through periodic-tridiagonal
-    n_theta x n_theta blocks: eliminate outward, keeping gain[i] = D_i^-1 C_i,
-    then back-substitute.  An exactly singular pivot block raises LinAlgError.
+    n_theta x n_theta blocks A_i, D_i, C_i.  Eliminating outward keeps the LU
+    factors of each pivot block D_i - A_i D_{i-1}^-1 C_{i-1}; only the
+    previous ring's gain D_{i-1}^-1 C_{i-1} is held during the pass.  Returns
+    solve(rhs), which does one forward and one backward sweep with those
+    factors and applies A_i and C_i straight from the stencil, so the factors
+    can be reused for many right-hand sides.  An exactly singular pivot block
+    raises LinAlgError.
     """
-    n1, m = rhs.shape
+    n1, m = stencil.shape[:2]
     rows = np.arange(m)[:, None]
-    cols = (rows + np.arange(-1, 2)) % m
-    gain = np.empty((n1, m, m))
-    x = np.empty((n1, m))
+    cols = (rows + np.arange(-1, 2)) % m  # angular neighbours j-1, j, j+1
+
+    def block(i, a):
+        out = np.zeros((m, m))
+        out[rows, cols] = stencil[i, :, a]
+        return out
+
+    factors = []
+    gain = None
     for i in range(n1):
-        blocks = np.zeros((3, m, m))  # couplings to rings i-1, i, i+1
-        blocks[:, rows, cols] = stencil[i].swapaxes(0, 1)
-        diag, b = blocks[1], rhs[i]
+        diag = block(i, 1)
         if i > 0:
-            diag = diag - blocks[0] @ gain[i - 1]
-            b = b - blocks[0] @ x[i - 1]
-        sol = np.linalg.solve(diag, np.column_stack([blocks[2], b]))
-        gain[i], x[i] = sol[:, :m], sol[:, m]
-    for i in range(n1 - 2, -1, -1):
-        x[i] -= gain[i] @ x[i + 1]
-    return x
+            diag -= block(i, 0) @ gain
+        lu, piv, info = dgetrf(diag, overwrite_a=True)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular pivot block at ring {i}")
+        factors.append((lu, piv))
+        if i < n1 - 1:
+            gain = dgetrs(lu, piv, block(i, 2))[0]
+
+    def couple(i, a, x):
+        # the a-th off-diagonal block of ring i applied to a neighbouring ring's x
+        return np.sum(stencil[i, :, a] * x[cols], axis=1)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = np.empty((n1, m))
+        for i, (lu, piv) in enumerate(factors):
+            b = rhs[i] - couple(i, 0, x[i - 1]) if i > 0 else rhs[i]
+            x[i] = dgetrs(lu, piv, b)[0]
+        for i in range(n1 - 2, -1, -1):
+            lu, piv = factors[i]
+            x[i] -= dgetrs(lu, piv, couple(i, 2, x[i + 1]))[0]
+        return x
+
+    return solve
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -420,9 +459,14 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     """Damped-Newton solve of the discrete graph equation with pinned boundary rows.
 
     inner may be None only on zero-flux-inner grids.  Terminates when the
-    sup-norm of the residual drops below cfg.newton_tol; raises NewtonError
-    (carrying the last residual) on stagnation, non-convergence, or a
-    singular linearization.
+    sup-norm of the residual drops below cfg.newton_tol.  The Jacobian is
+    factored at the first step and again after a step that leaves the merit
+    above REFRESH_RATIO times its old value, or when kept factors give a
+    non-finite step or one the line search rejects.  Raises NewtonError
+    (carrying the last residual) when a freshly factored step is singular or
+    stagnates, or after cfg.max_newton steps.  A trial state whose residual
+    overflows is rejected by the line search, and an initial guess whose
+    residual overflows raises ValueError.
     """
     inner_vals = _boundary_values(inner, grid.theta)
     outer_vals = _boundary_values(outer, grid.theta)
@@ -455,41 +499,68 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     def merit(res):
         return float(np.sqrt(np.sum((res * wts) ** 2)))
 
-    omega_used = 1.0
-    for it in range(cfg.max_newton):
-        res = _solve_residual(u, grid, inner_vals, outer_vals)
-        rnorm = float(np.max(np.abs(res)))
-        logger.info("newton iter=%d residual=%.3e damping=%.3g", it, rnorm, omega_used)
-        if rnorm <= cfg.newton_tol:
-            return u
-        try:
-            du = _block_solve(_newton_jacobian(u, grid, inner_vals, outer_vals, res), -res)
-        except np.linalg.LinAlgError:
-            du = np.full(u.shape, np.nan)
-        if not np.all(np.isfinite(du)):
-            raise NewtonError("singular linearization in Newton step", rnorm)
+    def residual(v):
+        # a flux whose W overflows evaluates to zero and fakes a converged
+        # state far outside the data, so overflow raises instead
+        with np.errstate(over="raise"):
+            return _solve_residual(v, grid, inner_vals, outer_vals)
 
-        m0 = merit(res)
+    def line_search(du, m0):
+        """Halve from the full step until the merit decreases: (u, res, omega, merit) or None."""
         omega = 1.0
-        accepted = False
         while omega > 1e-6:
             trial = u + omega * du
-            res_t = _solve_residual(trial, grid, inner_vals, outer_vals)
-            if (
-                merit(res_t) < m0 * (1.0 - 1e-4 * omega)
-                or float(np.max(np.abs(res_t))) <= cfg.newton_tol
-            ):
-                u = trial
-                omega_used = omega
-                accepted = True
-                break
+            try:
+                res_t = residual(trial)
+            except FloatingPointError:
+                pass  # rejected like a merit increase
+            else:
+                m_t = merit(res_t)
+                if (
+                    m_t < m0 * (1.0 - 1e-4 * omega)
+                    or float(np.max(np.abs(res_t))) <= cfg.newton_tol
+                ):
+                    return trial, res_t, omega, m_t
             omega *= 0.5
-        if not accepted:
-            raise NewtonError(
-                f"Newton stagnated at residual {rnorm:.3e} (no productive damping)",
-                rnorm,
-            )
-    rnorm = float(np.max(np.abs(_solve_residual(u, grid, inner_vals, outer_vals))))
+        return None
+
+    try:
+        res = residual(u)
+    except FloatingPointError:
+        raise ValueError("initial guess overflows the residual") from None
+    omega_used = 1.0
+    solve, fresh = None, True
+    for it in range(cfg.max_newton):
+        rnorm = float(np.max(np.abs(res)))
+        logger.info("newton iter=%d residual=%.3e damping=%.3g jacobian=%s",
+                    it, rnorm, omega_used, "fresh" if fresh else "reused")
+        if rnorm <= cfg.newton_tol:
+            return u
+        m0 = merit(res)
+        while True:
+            if fresh:
+                solve = None  # release the old factors before building new ones
+                try:
+                    solve = _block_factor(_newton_jacobian(u, grid, inner_vals, outer_vals, res))
+                except np.linalg.LinAlgError:
+                    raise NewtonError("singular linearization in Newton step", rnorm) from None
+            du = solve(-res)
+            finite = bool(np.all(np.isfinite(du)))
+            step = line_search(du, m0) if finite else None
+            if step is not None:
+                break
+            if not fresh:
+                fresh = True  # the kept factors failed here: refactor at this iterate
+            elif not finite:
+                raise NewtonError("singular linearization in Newton step", rnorm)
+            else:
+                raise NewtonError(
+                    f"Newton stagnated at residual {rnorm:.3e} (no productive damping)",
+                    rnorm,
+                )
+        u, res, omega_used, m1 = step
+        fresh = m1 > REFRESH_RATIO * m0
+    rnorm = float(np.max(np.abs(res)))
     raise NewtonError(
         f"Newton did not converge in {cfg.max_newton} iterations "
         f"(last residual {rnorm:.3e})",
@@ -540,10 +611,11 @@ class ExteriorSolution:
 
 
 def _compact_sup_diff(grid_a, u_a, grid_b, u_b, r_lo, r_hi) -> float:
-    """Sup of |u_a - u_b| over the window [r_lo, r_hi], fields on different radial grids."""
+    """Sup of |u_a - u_b| over the window [r_lo, r_hi], fields on different radial grids.
+
+    The window must hold a node of grid_a; the callers check that before solving.
+    """
     mask = (grid_a.r >= r_lo) & (grid_a.r <= r_hi)
-    if not mask.any():
-        return math.nan
     radii = grid_a.r[mask]
     interp = np.empty((mask.sum(), u_b.shape[1]))
     for j in range(u_b.shape[1]):
@@ -568,6 +640,9 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     on the gradient match).  It starts at the one-dimensional flux prediction
     and keeps t in the bracket [previous t_m, f(m - r0)] capped by the radial
     barrier; raises BracketError after MAX_OUTER_EVALS solves at one m.
+    Consecutive fields are compared (`cauchy`) at the nodes of the earlier
+    grid in [r0 + 0.2, 0.75 m_1]; a schedule that leaves a compared grid
+    without a node there raises ValueError before any solve.
     """
     if not math.isfinite(s) or s < 0:
         raise ValueError("boundary gradient s must be finite and nonnegative")
@@ -580,14 +655,22 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
 
     barrier = BarrierParams(s=s, alpha=r0) if s > 0 else None
     schedule = list(cfg.schedule)
-    t_trace, caps, grads, grids, fields, cauchy = [], [], [], [], [], []
+    grids = [AnnulusGrid.annulus(r0, m, cfg.n_r, cfg.n_theta, cfg.grading) for m in schedule]
+    # each field but the last is compared with the next one at its own nodes
+    # inside this window
     window = (r0 + 0.2, 0.75 * schedule[0])
+    for grid in grids[:-1]:
+        if not np.any((grid.r >= window[0]) & (grid.r <= window[1])):
+            raise ValueError(
+                f"Cauchy window [{window[0]:g}, {window[1]:g}] holds no node of the "
+                f"m={grid.r[-1]:g} grid"
+            )
+    t_trace, caps, grads, fields, cauchy = [], [], [], [], []
     prev_t = 0.0
     prev_grid = None
     prev_field = None
 
-    for m in schedule:
-        grid = AnnulusGrid.annulus(r0, m, cfg.n_r, cfg.n_theta, cfg.grading)
+    for m, grid in zip(schedule, grids):
         cap = barrier_f(barrier, m - r0)[0] if barrier is not None else 0.0
 
         if s == 0:
@@ -630,7 +713,6 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
         t_trace.append(t_m)
         caps.append(cap)
         grads.append(grad)
-        grids.append(grid)
         fields.append(u)
         prev_t, prev_grid, prev_field = t_m, grid, u
 

@@ -191,6 +191,21 @@ def test_cli_non_finite_input_is_usage_error(argv, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["asymptotic", "--schedule", "4,6"], "n_r = 17\nn_theta = 8\ncompact_rmax = 0.01\n"),
+        (["exterior", "--s", "0.5", "--r0", "1"], "n_r = 17\nn_theta = 8\nschedule = 1.5,3\n"),
+    ],
+    ids=["asymptotic-compact-window", "exterior-cauchy-window"],
+)
+def test_cli_config_without_window_nodes_is_usage_error(tmp_path, argv, lines, capsys):
+    cfgfile = tmp_path / "window.cfg"
+    cfgfile.write_text(lines)
+    assert main(argv + ["--config", str(cfgfile)]) == 2
+    assert "window" in capsys.readouterr().err
+
+
 def test_cli_solver_failure_exits_one(tmp_path, capsys):
     cfgfile = tmp_path / "starved.cfg"
     cfgfile.write_text("n_r = 48\nn_theta = 16\nmax_newton = 1\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from nil3lab import radial as rd
@@ -221,10 +222,14 @@ def test_block_solve_matches_sparse_oracle(kind, n_theta):
     res = sv._solve_residual(u, grid, inner_vals, outer_vals)
     stencil = sv._newton_jacobian(u, grid, inner_vals, outer_vals, res)
     assert stencil.shape == grid.shape + (3, 3)
-    rhs = np.random.default_rng(4).standard_normal(grid.shape)
-    x = sv._block_solve(stencil, rhs)
+    rhs, rhs2 = np.random.default_rng(4).standard_normal((2,) + grid.shape)
+    solve = sv._block_factor(stencil)
+    x = solve(rhs)
     ref = spsolve(_stencil_matrix(stencil), rhs.ravel()).reshape(grid.shape)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # the kept factors serve a second right-hand side as a fresh factorization does
+    ref2 = sv._block_factor(stencil)(rhs2)
+    assert np.max(np.abs(solve(rhs2) - ref2)) <= 1e-10 * np.max(np.abs(ref2))
 
 
 @pytest.mark.parametrize("kind", ["annulus", "disk"])
@@ -325,7 +330,45 @@ def test_solution_convergence_order(r_in, r_out, grading, t):
     assert all(o >= 1.8 for o in orders), orders
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("broken", ["negated", "non-finite"])
+def test_failed_reuse_refactors_and_converges(monkeypatch, caplog, broken):
+    # the first factorization gives a good first step and then, reused, a
+    # step that fails the line search or is not finite: the solve must
+    # refactor at that iterate and converge instead of raising
+    import logging
+
+    factor = sv._block_factor
+    factorizations = []
+
+    def flaky_factor(stencil):
+        solve = factor(stencil)
+        factorizations.append(None)
+        if len(factorizations) > 1:
+            return solve
+        calls = []
+
+        def first_solve(rhs):
+            calls.append(None)
+            x = solve(rhs)
+            if len(calls) == 1:
+                return x
+            return -x if broken == "negated" else np.full_like(x, np.nan)
+
+        return first_solve
+
+    monkeypatch.setattr(sv, "_block_factor", flaky_factor)
+    cfg = small_cfg()
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
+    with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
+        u = sv.dirichlet_solve(grid, 0.0, BoundaryData.cosine(0.5), cfg)
+    steps = [r.getMessage() for r in caplog.records if r.name == "nil3lab.solver"]
+    assert "jacobian=reused" in steps[1]  # the broken factors were tried
+    assert len(factorizations) >= 2
+    assert np.max(np.abs(sv.mse_operator(u, grid)[1:-1])) <= cfg.newton_tol
+
+
+# 1e200 is finite, but its differences overflow the residual to a fake zero
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
 def test_dirichlet_solve_rejects_non_finite_guess(bad):
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 16, 8)
     u0 = np.zeros(grid.shape)
@@ -341,10 +384,14 @@ def test_newton_emits_one_log_line_per_step(caplog):
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
         sv.dirichlet_solve(grid, 0.0, 0.5, cfg)
-    steps = [r for r in caplog.records if r.getMessage().startswith("newton iter=")]
+    records = [r.getMessage() for r in caplog.records if r.name == "nil3lab.solver"]
+    steps = [line for line in records if line.startswith("newton iter=")]
     assert len(steps) >= 2
-    assert "residual=" in steps[0].getMessage()
-    assert "damping=" in steps[0].getMessage()
+    assert steps == records  # nothing else is logged inside the solve
+    for line in steps:
+        assert "residual=" in line and "damping=" in line
+        assert ("jacobian=fresh" in line) != ("jacobian=reused" in line)
+    assert "jacobian=fresh" in steps[0]
 
 
 def test_boundary_data_validation():
@@ -411,15 +458,35 @@ def test_exterior_rejects_non_finite_input(s, r0):
         sv.exterior_solve(s, r0, small_cfg())
 
 
-def _record_outer_values(monkeypatch):
-    """Route exterior_solve's Dirichlet solves through a recorder of (m, t)."""
-    solves = []
-    solve = sv.dirichlet_solve
+@pytest.mark.parametrize(
+    "n_r, schedule, grading",
+    [(17, (1.5, 3.0), 2.0),  # the window (1.2, 1.125) is empty
+     (5, (1.7, 3.0), 1.0)],  # the window (1.2, 1.275) falls between nodes
+)
+def test_exterior_rejects_cauchy_window_without_nodes(monkeypatch, n_r, schedule, grading):
+    # the Cauchy difference would be NaN; it is refused before any solve
+    monkeypatch.setattr(sv, "dirichlet_solve", None)
+    cfg = sv.SolverConfig(n_r=n_r, n_theta=8, schedule=schedule, grading=grading)
+    with pytest.raises(ValueError, match="Cauchy window"):
+        sv.exterior_solve(0.5, 1.0, cfg)
+
+
+def _record_solves(monkeypatch):
+    """Route Dirichlet solves through a recorder of (outer radius, outer data, Jacobian builds)."""
+    solves, builds = [], []
+    solve, jacobian = sv.dirichlet_solve, sv._newton_jacobian
+
+    def counting_jacobian(*args):
+        builds.append(None)
+        return jacobian(*args)
 
     def recording_solve(grid, inner, outer, cfg, u0=None):
-        solves.append((float(grid.r[-1]), outer))
-        return solve(grid, inner, outer, cfg, u0=u0)
+        before = len(builds)
+        u = solve(grid, inner, outer, cfg, u0=u0)
+        solves.append((float(grid.r[-1]), outer, len(builds) - before))
+        return u
 
+    monkeypatch.setattr(sv, "_newton_jacobian", counting_jacobian)
     monkeypatch.setattr(sv, "dirichlet_solve", recording_solve)
     return solves
 
@@ -427,13 +494,15 @@ def _record_outer_values(monkeypatch):
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_exterior_outer_search_counters(monkeypatch, s):
     cfg = small_cfg()
-    solves = _record_outer_values(monkeypatch)
+    solves = _record_solves(monkeypatch)
     sol = sv.exterior_solve(s, 1.0, cfg)
+    # the warm-started exterior solves keep their first factorization throughout
+    assert all(builds == 1 for _, _, builds in solves)
     prev_t = 0.0
     for m, t_m, cap, grad in zip(
         sol.schedule, sol.t_trace, sol.barrier_caps, sol.boundary_gradients
     ):
-        outer = [t for mm, t in solves if mm == m]
+        outer = [t for mm, t, _ in solves if mm == m]
         assert 1 <= len(outer) <= 3
         assert all(prev_t <= t <= cap for t in outer)
         assert abs(grad - s) <= cfg.bisection_tol
@@ -442,7 +511,7 @@ def test_exterior_outer_search_counters(monkeypatch, s):
 
 def test_exterior_gives_up_below_the_cap(monkeypatch):
     cfg = small_cfg(schedule=(3.0,))
-    solves = _record_outer_values(monkeypatch)
+    solves = _record_solves(monkeypatch)
     # a gradient that grows with t but stays below s = 0.5 up to the cap
     # (about 1.08): every secant step overshoots the cap
     monkeypatch.setattr(sv, "boundary_gradient_sup", lambda u, grid: 0.1 * u[-1, 0])
@@ -450,7 +519,7 @@ def test_exterior_gives_up_below_the_cap(monkeypatch):
         sv.exterior_solve(0.5, 1.0, cfg)
     cap = rd.barrier_f(rd.BarrierParams(0.5, 1.0), 2.0)[0]
     assert len(solves) == sv.MAX_OUTER_EVALS
-    assert all(0 < t <= cap for _, t in solves)
+    assert all(0 < t <= cap for _, t, _ in solves)
 
 
 def test_exterior_outer_rim_gradient_capped_by_barrier_slope():
@@ -510,8 +579,102 @@ def test_asymptotic_cosine_properties():
         sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(10.0, 6.0))
 
 
+def test_asymptotic_jacobian_counters(monkeypatch):
+    # cold-started non-radial solves refactor once, after the first step
+    solves = _record_solves(monkeypatch)
+    sv.asymptotic_solve(BoundaryData.cosine(1.0), small_cfg(), radii=(6.0, 10.0, 14.0))
+    assert [builds for _, _, builds in solves] == [2, 2, 2]
+
+
+def test_asymptotic_cosine_field_is_minimal_in_3d():
+    # the non-radial field through the 3-D mean-curvature oracle, which shares
+    # no code with the solver: small, and shrinking as the angular grid refines
+    from nil3lab import verify as vf
+
+    points = [(r, phi) for r in np.linspace(0.5, 4.0, 8) for phi in (0.3, 1.9, 4.0)]
+    sup_h = []
+    for n_theta in (16, 32):
+        cfg = small_cfg(n_r=96, n_theta=n_theta, compact_rmax=3.0)
+        sol = sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(6.0, 10.0, 14.0))
+        sample = vf.graph_embed(sol.u, sol.grids[-1])
+        sup_h.append(max(abs(vf.mean_curvature_residual(sample, p)) for p in points))
+    assert max(sup_h) <= 5e-3, sup_h
+    assert sup_h[0] >= 3.0 * sup_h[1], sup_h
+
+
+def test_compact_window_must_reach_beyond_the_core():
+    # sup_diffs would be NaN; the config is refused before any solve
+    with pytest.raises(ValueError, match="compact window"):
+        sv.SolverConfig(n_r=17, n_theta=8, compact_rmax=0.01)
+    with pytest.raises(ValueError, match="compact window"):
+        sv.SolverConfig(r_core=0.5, compact_rmax=0.5)
+
+
 @pytest.mark.parametrize("radii", [(8.0, math.inf), (8.0, math.nan), (-1.0, 8.0)])
 def test_asymptotic_rejects_bad_radii(monkeypatch, radii):
     monkeypatch.setattr(sv.AnnulusGrid, "disk", None)  # no grid may be built
     with pytest.raises(ValueError, match="radii"):
         sv.asymptotic_solve(BoundaryData.cosine(1.0), small_cfg(), radii=radii)
+
+
+# ---------------------------------------------------------------- fuzz
+
+
+def _shifted_cosine(amplitude, mode, phase, shift):
+    return BoundaryData(lambda th: amplitude * np.cos(mode * th - phase) + shift)
+
+
+# finite cosine data, constant at amplitude 0
+boundary_data = st.builds(_shifted_cosine, st.floats(0.0, 1.5), st.integers(1, 3),
+                          st.floats(0.0, 2.0 * math.pi), st.floats(-1.0, 1.0))
+small_grids = st.one_of(
+    st.builds(sv.AnnulusGrid.annulus, st.just(1.0), st.floats(2.0, 6.0), st.integers(9, 33),
+              st.sampled_from([8, 16]), st.floats(1.0, 2.5)),
+    st.builds(sv.AnnulusGrid.disk, st.floats(2.0, 8.0), st.integers(9, 33),
+              st.sampled_from([8, 16])),
+)
+
+
+def _assert_finite_within_data(u, data, cfg):
+    # the discrete maximum principle, up to the Newton tolerance
+    values = np.concatenate(data)
+    assert np.all(np.isfinite(u))
+    assert values.min() - 10 * cfg.newton_tol <= u.min()
+    assert u.max() <= values.max() + 10 * cfg.newton_tol
+
+
+@settings(max_examples=40)
+@given(grid=small_grids, inner=boundary_data, outer=boundary_data,
+       guess=st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))))
+# from this guess a full Newton step once overflowed every flux to zero, and
+# the solve returned values near 1e160 as converged
+@example(grid=sv.AnnulusGrid.disk(2.439453125, 9, 8), inner=_shifted_cosine(0.0, 1, 0.0, 0.0),
+         outer=_shifted_cosine(0.5, 1, 0.0, 0.0), guess=(14007, 2.70703125))
+def test_dirichlet_solve_fuzz(grid, inner, outer, guess):
+    cfg = small_cfg()
+    u0 = None
+    if guess is not None:
+        seed, scale = guess
+        u0 = scale * np.random.default_rng(seed).standard_normal(grid.shape)
+    inner = inner if grid.inner == "dirichlet" else None
+    try:
+        u = sv.dirichlet_solve(grid, inner, outer, cfg, u0=u0)
+    except (sv.SolverError, ValueError):
+        return
+    data = [outer(grid.theta)] + ([inner(grid.theta)] if inner is not None else [])
+    _assert_finite_within_data(u, data, cfg)
+
+
+@settings(max_examples=20)
+@given(phi=boundary_data, n_r=st.integers(9, 33), n_theta=st.sampled_from([8, 16]),
+       compact_rmax=st.floats(0.5, 3.0), radii=st.lists(st.floats(3.0, 10.0), min_size=1,
+                                                        max_size=3, unique=True))
+def test_asymptotic_solve_fuzz(phi, n_r, n_theta, compact_rmax, radii):
+    cfg = small_cfg(n_r=n_r, n_theta=n_theta, compact_rmax=compact_rmax)
+    try:
+        sol = sv.asymptotic_solve(phi, cfg, radii=sorted(radii))
+    except (sv.SolverError, ValueError):
+        return
+    for grid, u in zip(sol.grids, sol.fields):
+        _assert_finite_within_data(u, [phi(grid.theta)], cfg)
+    assert np.all(np.isfinite(sol.sup_diffs))
