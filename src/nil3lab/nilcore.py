@@ -35,7 +35,6 @@ __all__ = [
     "metric_closed_form",
     "christoffel_closed_form",
     "christoffel_from_metric",
-    "frame_inner",
     "frame_norm",
     "geodesic_ode_rhs",
     "integrate_geodesic",
@@ -251,12 +250,8 @@ def christoffel_from_metric(p: ChartPoint, h: float = 1e-4) -> ChristoffelAtPoin
     return ChristoffelAtPoint(gamma)
 
 
-def frame_inner(p: ChartPoint, u, v) -> float:
-    return metric_closed_form(p).inner(u, v)
-
-
 def frame_norm(p: ChartPoint, u) -> float:
-    return math.sqrt(frame_inner(p, u, u))
+    return math.sqrt(metric_closed_form(p).inner(u, u))
 
 
 def geodesic_ode_rhs(p: ChartPoint, v: TangentVector) -> TangentVector:

@@ -248,11 +248,7 @@ def barrier_f(params: BarrierParams, r: float, tol: float = 1e-12) -> tuple[floa
     if r == 0 or params.s == 0:
         return 0.0, fp
     cuts = [x for x in (30.0, 1e3, 1e5) if x < r]
-    pieces = [0.0] + cuts + [r]
-    total = 0.0
-    for lo, hi in zip(pieces[:-1], pieces[1:]):
-        total += _quad_checked(lambda t: barrier_fprime(params, t), lo, hi, tol, "barrier")
-    return total, fp
+    return float(barrier_profile(params, [0.0, *cuts, r], tol).value[-1]), fp
 
 
 def barrier_profile(params: BarrierParams, r_nodes, tol: float = 1e-12) -> RadialProfile:

@@ -6,10 +6,11 @@ is (1/g) [ d_r(g u_r / W) + d_theta(u_theta / (g W)) ] with fluxes evaluated
 on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
-Nonlinear solves use damped Newton: the 9-point Jacobian stencil is filled
-from structurally orthogonal finite differences (a 3 x 4 coloring of the
-grid), factored exactly by block elimination in r (each ring couples only to
-its two neighbours), and each step is damped by Armijo-style halving from the
+Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
+differences of u (`_face_slopes`).  Nonlinear solves use damped Newton: the
+exact 9-point Jacobian stencil follows from those slopes by the chain rule,
+is factored exactly by block elimination in r (each ring couples only to its
+two neighbours), and each step is damped by Armijo-style halving from the
 full step on residual increase.  The factorization is built at the first
 step and kept while the merit contracts: a step that does not cut it tenfold
 (REFRESH_RATIO) refactors for the next one, and a step with kept factors
@@ -92,12 +93,11 @@ class BracketError(SolverError):
 
 @dataclass
 class AnnulusGrid:
-    """Polar grid: radial nodes r[0] < ... < r[N], uniform periodic angles.
+    """Polar grid: finite radial nodes 0 < r[0] < ... < r[N], n_theta >= 8 uniform periodic angles.
 
     inner = "dirichlet" pins the row r[0] to boundary data; inner = "neumann"
     closes the innermost cell with a zero-flux face at r[0] (the excised-core
-    closure for disk domains).  n_theta must be a multiple of 4 so the
-    Jacobian coloring stays collision-free under the periodic wrap.
+    closure for disk domains).
     """
 
     r: np.ndarray
@@ -109,6 +109,8 @@ class AnnulusGrid:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.r.ndim != 1 or len(self.r) < 5:
             raise ValueError("need at least 5 radial nodes")
+        if not np.all(np.isfinite(self.r)):
+            raise ValueError("radial nodes must be finite")
         if np.any(np.diff(self.r) <= 0):
             raise ValueError("radial nodes must be strictly increasing")
         if self.r[0] <= 0:
@@ -116,8 +118,6 @@ class AnnulusGrid:
         m = len(self.theta)
         if m < 8:
             raise ValueError("need at least 8 angular nodes")
-        if m % 4 != 0:
-            raise ValueError("n_theta must be a multiple of 4")
         dt = 2.0 * math.pi / m
         if not np.allclose(self.theta, np.arange(m) * dt, atol=1e-12):
             raise ValueError("angular nodes must be uniform starting at 0")
@@ -125,6 +125,7 @@ class AnnulusGrid:
             raise ValueError("inner mode must be 'dirichlet' or 'neumann'")
 
         self.dtheta = dt
+        self.pinned = [0, -1] if self.inner == "dirichlet" else [-1]  # rows held by data
         self.g = warp_g(self.r)
         self.h_face = np.diff(self.r)
         self.r_face = 0.5 * (self.r[1:] + self.r[:-1])
@@ -149,8 +150,8 @@ class AnnulusGrid:
         grading: float = 1.0,
     ) -> "AnnulusGrid":
         """Annular grid with optional algebraic grading toward the inner circle."""
-        if not 0 < r_in < r_out:
-            raise ValueError("need 0 < r_in < r_out")
+        if not 0 < r_in < r_out < math.inf:
+            raise ValueError("need 0 < r_in < r_out < inf")
         if grading < 1.0:
             raise ValueError("grading power must be >= 1")
         xi = np.linspace(0.0, 1.0, n_r)
@@ -163,8 +164,8 @@ class AnnulusGrid:
         cls, radius: float, n_r: int, n_theta: int, r_core: float = 0.02
     ) -> "AnnulusGrid":
         """Disk grid with a tiny excised core and the zero-flux inner closure."""
-        if not 0 < r_core < radius:
-            raise ValueError("need 0 < r_core < radius")
+        if not 0 < r_core < radius < math.inf:
+            raise ValueError("need 0 < r_core < radius < inf")
         r = np.linspace(r_core, radius, n_r)
         theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
         return cls(r, theta, inner="neumann")
@@ -239,39 +240,55 @@ class SolverConfig:
         return lines
 
 
-def _radial_derivative_nodes(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
-    """u_r at nodes: central in the interior, one-sided on the boundary rows.
+def _shift(f: np.ndarray, di: int, dj: int) -> np.ndarray:
+    """f at node (i+di, j+dj), wrapping in both grid directions.
 
-    Only feeds the W factor of the angular fluxes, so first order on the two
-    boundary rows is harmless.
+    A stencil carries two leading window axes, window[1+di, 1+dj] being the
+    coefficient of u at offset (di, dj) from its node; the window moves
+    against the grid, so each entry keeps its offset from the node it acts on.
     """
-    r = grid.r
-    ur = np.empty_like(u)
-    ur[1:-1] = (u[2:] - u[:-2]) / (r[2:] - r[:-2])[:, None]
-    ur[0] = (u[1] - u[0]) / grid.h_face[0]
-    ur[-1] = (u[-1] - u[-2]) / grid.h_face[-1]
-    return ur
+    if f.ndim == 2:
+        return np.roll(f, (-di, -dj), axis=(0, 1))
+    return np.roll(f, (di, dj, -di, -dj), axis=(0, 1, 2, 3))
 
 
-def _face_fluxes(u: np.ndarray, grid: AnnulusGrid) -> tuple[np.ndarray, np.ndarray]:
+def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
+    """Slopes ((x_r, y_r), (x_t, y_t)) of the radial and angular face fluxes.
+
+    Each face flux is x / sqrt(1 + x^2 + y^2), times g on radial faces.
+    Radial faces (rows i, i+1; stored at row i, n_r - 1 rows): x = u_r and
+    y = mean u_theta / g.  Angular faces (columns j, j+1; stored at column
+    j): x = u_theta / g and y = mean u_r, u_r central at interior nodes and
+    one-sided on the boundary rows.  The slopes are linear in u, so u may
+    also be a stencil (see `_shift`); they then hold their coefficients.
+    """
     dt = grid.dtheta
-    uth = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dt)
+    h = grid.h_face[:, None]
+    up, down, right = _shift(u, 1, 0), _shift(u, -1, 0), _shift(u, 0, 1)
+    uth = (right - _shift(u, 0, -1)) / (2.0 * dt)
+    x_r = (up - u)[..., :-1, :] / h
+    y_r = (0.5 * (uth + _shift(uth, 1, 0)))[..., :-1, :] / grid.g_face[:, None]
+    ur = np.empty_like(u)
+    ur[..., 1:-1, :] = (up - down)[..., 1:-1, :] / (grid.r[2:] - grid.r[:-2])[:, None]
+    ur[..., 0, :] = (up - u)[..., 0, :] / h[0]
+    ur[..., -1, :] = (u - down)[..., -1, :] / h[-1]
+    x_t = (right - u) / dt / grid.g[:, None]
+    y_t = 0.5 * (ur + _shift(ur, 0, 1))
+    return (x_r, y_r), (x_t, y_t)
 
-    # radial faces (between rows i and i+1)
-    p = np.diff(u, axis=0) / grid.h_face[:, None]
-    qbar = 0.5 * (uth[1:] + uth[:-1])
-    gf = grid.g_face[:, None]
-    wr = np.sqrt(1.0 + p * p + (qbar / gf) ** 2)
-    flux_r = gf * p / wr
 
-    # angular faces (between columns j and j+1, same row)
-    a = (np.roll(u, -1, axis=1) - u) / dt
-    ur = _radial_derivative_nodes(u, grid)
-    rbar = 0.5 * (ur + np.roll(ur, -1, axis=1))
-    gn = grid.g[:, None]
-    wt = np.sqrt(1.0 + rbar * rbar + (a / gn) ** 2)
-    flux_t = a / (gn * wt)
-    return flux_r, flux_t
+def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
+    """Finite-volume residual of the face fluxes (or their stencils), zero on pinned rows.
+
+    No flux enters row 0: the zero-flux closure of inner = "neumann" grids.
+    """
+    flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
+    res = (
+        (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
+        + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
+    ) / grid.g[:, None]
+    res[..., grid.pinned, :] = 0.0
+    return res
 
 
 def mse_operator(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -284,16 +301,12 @@ def mse_operator(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
-    flux_r, flux_t = _face_fluxes(u, grid)
-    dt = grid.dtheta
-    res = np.zeros_like(u)
-    div_t = (flux_t - np.roll(flux_t, 1, axis=1)) / dt
-    res[1:-1] = (
-        (flux_r[1:] - flux_r[:-1]) / grid.control[1:-1, None] + div_t[1:-1]
-    ) / grid.g[1:-1, None]
-    if grid.inner == "neumann":
-        res[0] = (flux_r[0] / grid.control[0] + div_t[0]) / grid.g[0]
-    return res
+    (x_r, y_r), (x_t, y_t) = _face_slopes(u, grid)
+    return _divergence(
+        grid.g_face[:, None] * x_r / np.sqrt(1.0 + x_r * x_r + y_r * y_r),
+        x_t / np.sqrt(1.0 + x_t * x_t + y_t * y_t),
+        grid,
+    )
 
 
 def cartesian_operator_residual(height, x: float, y: float, step: float = 1e-3) -> float:
@@ -350,31 +363,29 @@ def _solve_residual(u, grid, inner_vals, outer_vals):
     return res
 
 
-def _newton_jacobian(u, grid, inner_vals, outer_vals, res0) -> np.ndarray:
-    """Jacobian stencil by structurally orthogonal finite differences.
+def _newton_jacobian(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
+    """Exact Jacobian stencil of the solve residual, by the chain rule.
 
     stencil[i, j, 1+di, 1+dj] is the derivative of residual (i, j) with
-    respect to u at (i+di, j+dj mod n_theta).  The residual stencil is
-    9-point, so the colors (i mod 3, j mod 4) (4 | n_theta) have disjoint row
-    supports and one perturbed residual evaluation recovers a whole color's
-    worth of Jacobian columns.
+    respect to u at (i+di, j+dj mod n_theta).  d(x / W) = ((1 + y^2) dx -
+    x y dy) / W^3 with W = sqrt(1 + x^2 + y^2), and dx, dy are the face
+    slopes of the unit stencil; the pinned rows are the identity.
     """
-    n1, m = u.shape
-    step = 1e-7 * (1.0 + np.abs(u))
-    color = (np.arange(n1) % 3)[:, None] * 4 + np.arange(m) % 4
-    dres = np.stack([
-        _solve_residual(u + np.where(color == c, step, 0.0), grid, inner_vals, outer_vals)
-        for c in range(12)
-    ]) - res0
-    stencil = np.empty((n1, m, 3, 3))
-    for a, b in np.ndindex(3, 3):
-        # (i+a-1, j+b-1) is the one node of its color in the stencil of (i, j)
-        shift = (1 - a, 1 - b)
-        nb_color, nb_step = (np.roll(arr, shift, axis=(0, 1)) for arr in (color, step))
-        stencil[:, :, a, b] = np.take_along_axis(dres, nb_color[None], 0)[0] / nb_step
-    # the radial roll wrapped the first and last rows around to each other
-    stencil[0, :, 0] = stencil[-1, :, 2] = 0.0
-    return stencil
+    # the unit stencil is the same at every angle, so one column serves all
+    unit = np.zeros((3, 3, u.shape[0], 1))
+    unit[1, 1] = 1.0
+
+    def dflux(slopes, unit_slopes):
+        (x, y), (dx, dy) = slopes, unit_slopes
+        w3 = (1.0 + x * x + y * y) ** 1.5
+        return (1.0 + y * y) / w3 * dx - x * y / w3 * dy
+
+    (rad, ang), (unit_rad, unit_ang) = _face_slopes(u, grid), _face_slopes(unit, grid)
+    jac = _divergence(
+        grid.g_face[:, None] * dflux(rad, unit_rad), dflux(ang, unit_ang), grid
+    )
+    jac[..., grid.pinned, :] = unit[..., grid.pinned, :]
+    return np.ascontiguousarray(jac.transpose(2, 3, 0, 1))
 
 
 def _block_factor(stencil: np.ndarray):
@@ -541,7 +552,7 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
             if fresh:
                 solve = None  # release the old factors before building new ones
                 try:
-                    solve = _block_factor(_newton_jacobian(u, grid, inner_vals, outer_vals, res))
+                    solve = _block_factor(_newton_jacobian(u, grid))
                 except np.linalg.LinAlgError:
                     raise NewtonError("singular linearization in Newton step", rnorm) from None
             du = solve(-res)

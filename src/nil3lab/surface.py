@@ -42,7 +42,6 @@ __all__ = [
     "splitting_isometry_inverse",
     "warp_g",
     "geodesic_circle_curvature",
-    "orbit_point",
     "orbit_circumference",
     "gaussian_curvature_riemann",
     "curvature_from_warp",
@@ -188,12 +187,6 @@ def geodesic_circle_curvature(r):
         raise ValueError("geodesic circles need r > 0")
     out = 2.0 * (4.0 + r * r) / (r * (8.0 + r * r))
     return float(out) if r.ndim == 0 else out
-
-
-def orbit_point(r: float, phi: float) -> SurfacePoint:
-    """Point of the circle-action orbit at distance r, plane polar angle phi."""
-    rho = r / SQRT2
-    return SurfacePoint(rho * math.cos(phi), rho * math.sin(phi))
 
 
 def orbit_circumference(r: float, tol: float = 1e-12) -> float:

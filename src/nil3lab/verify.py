@@ -16,6 +16,7 @@ data, as established by two agreeing independent oracles.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -176,14 +177,12 @@ def catenoid_sample(
     """Surface of rotation of the catenoid profile, parametrized by (t, angle)."""
     t_grid = np.linspace(params.t0, tmax, n_t)
     th_grid = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    # one quadrature per profile parameter, not one per vertex
+    height = functools.lru_cache(maxsize=None)(lambda tt: catenoid_height(params, tt, tol))
 
     def chart_map(tt, phi):
         rho = tt / SQRT2
-        return (
-            rho * math.cos(phi),
-            rho * math.sin(phi),
-            catenoid_height(params, tt, tol),
-        )
+        return (rho * math.cos(phi), rho * math.sin(phi), height(tt))
 
     return SurfaceSample(chart_map, t_grid, th_grid, fd_step=fd_step, periodic_v=True)
 

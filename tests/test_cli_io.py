@@ -16,10 +16,13 @@ def test_slice_mesh_counts():
     meshio.check_mesh(verts, faces)
 
 
-def test_periodic_mesh_seam_identified():
+def test_periodic_mesh_seam_identified(monkeypatch):
     params = rd.CatenoidParams(3.0, 1.0)
+    heights = []
+    monkeypatch.setattr(vf, "catenoid_height", lambda *a: heights.append(a) or rd.catenoid_height(*a))
     sample = vf.catenoid_sample(params, 4.0, n_t=8, n_theta=12)
     verts, faces = meshio.surface_mesh(sample)
+    assert len(heights) == 8  # one quadrature per profile ring, not per vertex
     assert len(verts) == 8 * 12
     assert len(faces) == 2 * 7 * 12  # closed strip in the angular direction
     meshio.check_mesh(verts, faces)
@@ -224,6 +227,13 @@ def test_cli_asymptotic_constant(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sup-diff" in out
+
+
+def test_cli_asymptotic_any_angular_count(capsys):
+    # n_theta = 18 is not a multiple of 4
+    code = main(["asymptotic", "--n-r", "33", "--n-theta", "18", "--schedule", "4,8"])
+    assert code == 0
+    assert "sup-diff" in capsys.readouterr().out
 
 
 def test_cli_export_surface(tmp_path):

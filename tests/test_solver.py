@@ -32,8 +32,13 @@ def test_grid_validation():
         sv.AnnulusGrid(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), theta)
     with pytest.raises(ValueError):
         sv.AnnulusGrid.annulus(1.0, 4.0, 32, 6)  # too few angles
-    with pytest.raises(ValueError):
-        sv.AnnulusGrid.annulus(1.0, 4.0, 32, 18)  # not a multiple of 4
+    for r in ([1.0, 2.0, math.nan, 4.0, 5.0], [1.0, 2.0, 3.0, 4.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            sv.AnnulusGrid(np.array(r), theta)
+    with pytest.raises(ValueError, match="inf"):
+        sv.AnnulusGrid.disk(math.inf, 9, 8)
+    with pytest.raises(ValueError, match="inf"):
+        sv.AnnulusGrid.annulus(1.0, math.inf, 9, 8)
     with pytest.raises(ValueError):
         sv.AnnulusGrid(np.linspace(1, 4, 32), theta, inner="weird")
     with pytest.raises(ValueError):
@@ -215,12 +220,11 @@ def _linearization_state(kind, n_theta, grading):
 
 
 @pytest.mark.parametrize("kind", ["annulus", "disk"])
-@pytest.mark.parametrize("n_theta", [8, 16])
+@pytest.mark.parametrize("n_theta", [8, 10, 16])
 def test_block_solve_matches_sparse_oracle(kind, n_theta):
     # at n_theta = 8 the periodic wrap couples j = 0 and j = 7 in every block
-    grid, inner_vals, outer_vals, u, _ = _linearization_state(kind, n_theta, grading=2.0)
-    res = sv._solve_residual(u, grid, inner_vals, outer_vals)
-    stencil = sv._newton_jacobian(u, grid, inner_vals, outer_vals, res)
+    grid, _, _, u, _ = _linearization_state(kind, n_theta, grading=2.0)
+    stencil = sv._newton_jacobian(u, grid)
     assert stencil.shape == grid.shape + (3, 3)
     rhs, rhs2 = np.random.default_rng(4).standard_normal((2,) + grid.shape)
     solve = sv._block_factor(stencil)
@@ -232,18 +236,15 @@ def test_block_solve_matches_sparse_oracle(kind, n_theta):
     assert np.max(np.abs(solve(rhs2) - ref2)) <= 1e-10 * np.max(np.abs(ref2))
 
 
-@pytest.mark.parametrize("kind", ["annulus", "disk"])
-def test_jacobian_taylor_remainder(kind):
+@pytest.mark.parametrize("kind, grading", [("annulus", 1.0), ("annulus", 2.0), ("disk", 1.0)])
+def test_jacobian_taylor_remainder(kind, grading):
     # |R(u + eps v) - R(u) - eps J v| is O(eps^2) when J is the linearization.
-    # v is smooth and the annulus uniform: a random v is not in the asymptotic
-    # range at these eps, and on a graded grid the small inner cells let the
-    # finite-difference Jacobian's own O(step) error show
-    grid, inner_vals, outer_vals, u, xi = _linearization_state(kind, 16, grading=1.0)
+    # v is smooth: a random v is not in the asymptotic range at these eps
+    grid, inner_vals, outer_vals, u, xi = _linearization_state(kind, 16, grading=grading)
     th = grid.theta[None, :]
     v = np.sin(math.pi * xi) * (1.0 + np.cos(th) + 0.5 * np.sin(3.0 * th))
     res = sv._solve_residual(u, grid, inner_vals, outer_vals)
-    jv = (_stencil_matrix(sv._newton_jacobian(u, grid, inner_vals, outer_vals, res))
-          @ v.ravel()).reshape(grid.shape)
+    jv = (_stencil_matrix(sv._newton_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
     remainders = [
         np.max(np.abs(sv._solve_residual(u + eps * v, grid, inner_vals, outer_vals)
                       - res - eps * jv))
@@ -251,6 +252,30 @@ def test_jacobian_taylor_remainder(kind):
     ]
     ratios = [a / b for a, b in zip(remainders, remainders[1:])]
     assert all(3.5 <= q <= 4.5 for q in ratios), ratios
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+def test_jacobian_matches_dense_central_differences(kind):
+    # every column of the solve residual's Jacobian by a central difference,
+    # on a graded annulus and a disk with n_theta = 10
+    n_theta = 10
+    if kind == "annulus":
+        grid = sv.AnnulusGrid.annulus(1.0, 3.0, 9, n_theta, grading=2.0)
+        inner_vals = np.zeros(n_theta)
+    else:
+        grid = sv.AnnulusGrid.disk(3.0, 9, n_theta)
+        inner_vals = None
+    outer_vals = BoundaryData.cosine(1.0)(grid.theta)
+    u = sv._default_guess(grid, inner_vals, outer_vals)
+    u = u + 0.3 * np.random.default_rng(5).standard_normal(grid.shape)
+    h = 1e-6
+    dense = np.array([
+        (sv._solve_residual(u + e, grid, inner_vals, outer_vals)
+         - sv._solve_residual(u - e, grid, inner_vals, outer_vals)).ravel() / (2 * h)
+        for e in h * np.eye(u.size).reshape((-1,) + grid.shape)
+    ]).T
+    jac = _stencil_matrix(sv._newton_jacobian(u, grid)).toarray()
+    assert np.max(np.abs(jac - dense)) <= 1e-6 * np.max(np.abs(dense))
 
 
 # ---------------------------------------------------------------- Dirichlet solves

@@ -203,7 +203,7 @@ def test_warp_against_orbit_length():
 def test_orbit_is_distance_sphere():
     for r in (0.5, 2.0, 9.0):
         for phi in np.linspace(0, 2 * math.pi, 12, endpoint=False):
-            p = sf.orbit_point(r, phi)
+            p = sf.PolarCoord(r, phi).to_surface_point()
             assert sf.distance_to_identity(p) == pytest.approx(r, abs=1e-12)
 
 
@@ -225,7 +225,7 @@ def test_curvature_oracles_agree():
 def test_curvature_rotational_invariance():
     vals = []
     for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False):
-        vals.append(sf.gaussian_curvature_riemann(sf.orbit_point(1.5, phi)))
+        vals.append(sf.gaussian_curvature_riemann(sf.PolarCoord(1.5, phi).to_surface_point()))
     assert max(vals) - min(vals) <= 1e-8
 
 
