@@ -236,7 +236,11 @@ def test_block_solve_matches_sparse_oracle(kind, n_theta):
     assert np.max(np.abs(solve(rhs2) - ref2)) <= 1e-10 * np.max(np.abs(ref2))
 
 
-@pytest.mark.parametrize("kind, grading", [("annulus", 1.0), ("annulus", 2.0), ("disk", 1.0)])
+@pytest.mark.parametrize("kind, grading", [
+    pytest.param("annulus", 1.0, id="annulus"),
+    pytest.param("annulus", 2.0, id="annulus-graded"),
+    pytest.param("disk", 1.0, id="disk"),
+])
 def test_jacobian_taylor_remainder(kind, grading):
     # |R(u + eps v) - R(u) - eps J v| is O(eps^2) when J is the linearization.
     # v is smooth: a random v is not in the asymptotic range at these eps
