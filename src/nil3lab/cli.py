@@ -66,10 +66,10 @@ def _cmd_geodesic(args) -> int:
         0.0,
     )
     path = integrate_geodesic(ChartPoint(0.0, 0.0, 0.0), v0, args.t, args.steps)
-    end = path[-1][0]
-    err = max(abs(end.x - gp.point.x), abs(end.y - gp.point.y), abs(end.zeta))
+    x, y, zeta = path[-1, :3]
+    err = max(abs(x - gp.point.x), abs(y - gp.point.y), abs(zeta))
     print(f"closed form endpoint: x={gp.point.x:.12g} y={gp.point.y:.12g} z={gp.z:.12g}")
-    print(f"integrated endpoint:  x={end.x:.12g} y={end.y:.12g} zeta={end.zeta:.12g}")
+    print(f"integrated endpoint:  x={x:.12g} y={y:.12g} zeta={zeta:.12g}")
     print(f"closed-form vs integrated: {err:.3e}")
     print(f"distance identity r = |t|: r={surface.distance_to_identity(gp.point):.12g}")
     return 0

@@ -96,8 +96,12 @@ def _quartic(s: float, c: float) -> float:
 
 
 def _quad_checked(fn, lo, hi, tol, ctx="quadrature"):
-    val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=1e-13, limit=300)
-    if err > tol:
+    rel = 1e-13
+    val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=rel, limit=300)
+    # quad stops once either of its targets is met, so the estimate is
+    # accepted against either bound; a tol finer than the float spacing at
+    # the value is unreachable whatever the estimate says
+    if not err <= max(tol, rel * abs(val)) or tol < math.ulp(val):
         raise QuadratureError(f"{ctx}: error estimate {err:.3g} above tol {tol:.3g}")
     return val
 

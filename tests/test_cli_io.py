@@ -117,6 +117,8 @@ def test_cli_geodesic_runs(capsys):
     out = capsys.readouterr().out
     assert "resolved configuration" in out
     assert "closed form endpoint" in out
+    err = out.split("closed-form vs integrated:")[1].split()[0]
+    assert float(err) <= 1e-8
 
 
 def test_cli_curvature_adjudication(capsys):
@@ -171,6 +173,16 @@ def test_cli_exterior_small(tmp_path, capsys):
     assert "cauchy sup-diff" in out
     cols = meshio.read_csv(slice_csv)
     assert set(cols) == {"r", "u"}
+
+
+def test_cli_exterior_barrier_past_first_cut(capsys):
+    # the m = 32 cap integrates past the barrier's first cut at r = 30
+    code = main(["exterior", "--s", "1", "--r0", "2", "--schedule", "4,32",
+                 "--n-r", "33", "--n-theta", "16"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "barrier_cap=2.422264" in out
+    assert "barrier_cap=15.929367" in out
 
 
 @pytest.mark.parametrize("s", ["inf", "nan"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from nil3lab.nilcore import (
     ChartPoint,
@@ -241,11 +242,12 @@ def test_geodesic_ode_rhs_examples():
 def test_integrate_geodesic_diagonal():
     start = ChartPoint(0, 0, 0)
     path = integrate_geodesic(start, TangentVector(start, 0.5, 0.5, 0.0), 1.0, 100)
-    assert len(path) == 101
-    end = path[-1][0]
-    assert abs(end.x - 0.5) <= 1e-8
-    assert abs(end.y - 0.5) <= 1e-8
-    assert abs(end.zeta) <= 1e-8
+    assert path.shape == (101, 6)
+    assert path[0].tolist() == [0.0, 0.0, 0.0, 0.5, 0.5, 0.0]
+    x, y, zeta = path[-1, :3]
+    assert abs(x - 0.5) <= 1e-8
+    assert abs(y - 0.5) <= 1e-8
+    assert abs(zeta) <= 1e-8
 
 
 def test_integrate_geodesic_stays_in_slice():
@@ -253,16 +255,16 @@ def test_integrate_geodesic_stays_in_slice():
     for ang in (0.0, 1.0, 2.5):
         v = TangentVector(start, math.cos(ang) / math.sqrt(2), math.sin(ang) / math.sqrt(2), 0.0)
         path = integrate_geodesic(start, v, 10.0, 1000)
-        assert max(abs(p.zeta) for p, _ in path) <= 1e-8
+        assert np.max(np.abs(path[:, 2])) <= 1e-8
 
 
 def test_integrate_geodesic_vertical():
     start = ChartPoint(0, 0, 0)
     c = 1 / math.sqrt(2)
     path = integrate_geodesic(start, TangentVector(start, 0, 0, c), 1.0, 50)
-    end = path[-1][0]
-    assert (end.x, end.y) == (0.0, 0.0)
-    assert end.zeta == pytest.approx(c, abs=1e-14)
+    x, y, zeta = path[-1, :3]
+    assert (x, y) == (0.0, 0.0)
+    assert zeta == pytest.approx(c, abs=1e-14)
 
 
 def test_integrate_geodesic_speed_conserved():
@@ -270,8 +272,48 @@ def test_integrate_geodesic_speed_conserved():
     v0 = TangentVector(start, 0.3, 0.5, 0.1)
     s0 = frame_norm(start, v0.frame_components())
     path = integrate_geodesic(start, v0, 4.0, 400)
-    for p, v in path[::40]:
-        assert abs(frame_norm(p, v.frame_components()) - s0) <= 1e-9
+    for row in path[::40]:
+        assert abs(frame_norm(ChartPoint(*row[:3]), row[3:]) - s0) <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(coords, coords, coords, coords, coords, coords)
+def test_geodesic_ode_rhs_matches_connection(x, y, zeta, a, b, c):
+    # off the slice too: zeta and c drop out of the acceleration
+    p = ChartPoint(x, y, zeta)
+    acc = geodesic_ode_rhs(p, TangentVector(p, a, b, c))
+    ref = -christoffel_closed_form(p).apply([a, b, c], [a, b, c])
+    diff = np.abs(np.array([acc.a, acc.b, acc.c]) - ref)
+    assert np.max(diff) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_integrate_geodesic_matches_koszul_oracle_off_slice():
+    # independent reference: DOP853 on the finite-difference Koszul connection
+    def rhs(_t, s):
+        acc = -christoffel_from_metric(ChartPoint(*s[:3])).apply(s[3:], s[3:])
+        return np.concatenate([s[3:], acc])
+
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y, zeta = rng.uniform(-2, 2, size=3)
+        a, b, c = rng.uniform(-1, 1, size=3)
+        start = ChartPoint(x, y, zeta)
+        path = integrate_geodesic(start, TangentVector(start, a, b, c), 2.0, 400)
+        ref = solve_ivp(rhs, (0.0, 2.0), [x, y, zeta, a, b, c], method="DOP853",
+                        rtol=1e-12, atol=1e-12)
+        assert ref.success
+        assert abs(zeta) > 0.0 and abs(c) > 0.0
+        assert np.max(np.abs(path[-1] - ref.y[:, -1])) <= 1e-6
+
+
+def test_integrate_geodesic_fourth_order():
+    # halving the step divides the endpoint error by about 2^4
+    start = ChartPoint(0.7, -1.3, 0.4)
+    v0 = TangentVector(start, 0.6, 0.8, -0.5)
+    ref = integrate_geodesic(start, v0, 2.0, 1600)[-1]
+    errs = [np.max(np.abs(integrate_geodesic(start, v0, 2.0, n)[-1] - ref)) for n in (20, 40, 80)]
+    assert 14.0 <= errs[0] / errs[1] <= 18.0
+    assert 14.0 <= errs[1] / errs[2] <= 18.0
 
 
 def test_integrate_geodesic_rejects_bad_steps():

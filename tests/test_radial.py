@@ -155,6 +155,20 @@ def test_barrier_bounded_and_monotone():
     assert np.all(prof.deriv > 0)
 
 
+@pytest.mark.parametrize("r", [30.0, 32.0])
+def test_barrier_value_for_r0_2(r):
+    # quad meets its relative target here with an error estimate (1.5e-12 on
+    # a value near 16) above the absolute tol 1e-12; the value is still good
+    params = rd.BarrierParams(1.0, 2.0)
+    val, _ = rd.barrier_f(params, r)
+    t, w = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, r, 41)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * t
+    ref = float(np.sum(half * w * rd.barrier_fprime(params, nodes)))
+    assert abs(val - ref) <= 1e-10 * ref
+
+
 def test_curvature_bound_margin():
     params = rd.BarrierParams(1.0, 1.0)
     report = rd.subsolution_check(params, 1.0, np.array([0.5, 1.0, 5.0, 20.0]))

@@ -45,8 +45,8 @@ def test_distance_against_integrated_arc_length():
     start = ChartPoint(0, 0, 0)
     v0 = TangentVector(start, math.cos(phi) / SQRT2, math.sin(phi) / SQRT2, 0.0)
     path = integrate_geodesic(start, v0, r, 2000)
-    end = path[-1][0]
-    assert math.hypot(end.x - target.x, end.y - target.y) <= 1e-6
+    x, y = path[-1, :2]
+    assert math.hypot(x - target.x, y - target.y) <= 1e-6
 
 
 def test_polar_round_trip():
