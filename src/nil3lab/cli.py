@@ -119,6 +119,8 @@ def _cmd_catenoid(args) -> int:
 def _cmd_barrier(args) -> int:
     _echo_config(args)
     params = radial.BarrierParams(s=args.s, alpha=args.alpha)
+    if not (0 < args.rmax < math.inf and 0 < args.step < math.inf):
+        raise ValueError("--rmax and --step must be finite and positive")
     r_nodes = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     prof = radial.barrier_profile(params, r_nodes)
     bound = radial.barrier_sup_bound(params)
@@ -184,6 +186,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     _echo_config(args)
+    if min(args.nu, args.nv) < 2:
+        raise ValueError("--nu and --nv must be at least 2: a mesh needs two samples per direction")
     if args.surface == "tplane":
         sample = verify.slice_sample(extent=args.extent, n=args.nu)
     elif args.surface == "catenoid":

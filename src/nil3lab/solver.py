@@ -9,15 +9,24 @@ discrete solution inherits a maximum principle on the tested data.
 Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
 differences of u (`_face_slopes`).  Nonlinear solves use damped Newton: the
 exact 9-point Jacobian stencil follows from those slopes by the chain rule,
-is factored exactly by block elimination in r (each ring couples only to its
-two neighbours), and each step is damped by Armijo-style halving from the
-full step on residual increase.  The factorization is built at the first
-step and kept while the merit contracts: a step that does not cut it tenfold
-(REFRESH_RATIO) refactors for the next one, and a step with kept factors
-that is not finite or fails the line search is retried at the same iterate
-with fresh factors.  One log line is emitted per Newton step on the
+and each step is damped by Armijo-style halving from the full step on
+residual increase.  The rotational symmetry of the slice makes the stencil
+circulant in theta up to its theta-variation, so each linear system is
+solved by GMRES preconditioned with the theta-averaged stencil, which a real
+FFT in theta splits into one tridiagonal system in r per Fourier mode.  For
+rotationally symmetric states that preconditioner is exact and GMRES stops
+after one iteration.  When GMRES does not cut the preconditioned residual by
+KRYLOV_RTOL within MAX_KRYLOV iterations, the stencil is factored exactly by
+block elimination in r (each ring couples only to its two neighbours) and
+those factors solve its later systems too.  The stencil is built at the
+first step and kept while the merit contracts: a step that does not cut it
+tenfold (REFRESH_RATIO) rebuilds it for the next one, and a step with a kept
+stencil that is not finite or fails the line search is retried at the same
+iterate with a fresh one.  One log line is emitted per Newton step on the
 "nil3lab.solver" logger; its jacobian= field says whether the step from that
-iterate starts from a fresh factorization or from kept factors.
+iterate starts from a fresh stencil or a kept one, and its krylov= field
+gives the GMRES iterations of the step that reached the iterate ("exact"
+when block elimination solved it, 0 at the initial guess).
 
 Two boundary-value programs sit on top:
 
@@ -37,7 +46,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, zgttrf, zgttrs
 
 from .nilcore import ChartPoint, metric_closed_form
 from .radial import (
@@ -54,9 +63,13 @@ logger = logging.getLogger("nil3lab.solver")
 
 # Dirichlet solves the exterior outer-value search spends on one m at most
 MAX_OUTER_EVALS = 30
-# the Jacobian is refactored after a Newton step that leaves the merit above
-# this fraction of its old value; otherwise the next step reuses the factors
+# the Jacobian is rebuilt after a Newton step that leaves the merit above
+# this fraction of its old value; otherwise the next step reuses it
 REFRESH_RATIO = 0.1
+# GMRES iterations a linear solve may take, and the factor by which they must
+# cut the preconditioned residual, before exact block elimination takes over
+MAX_KRYLOV = 20
+KRYLOV_RTOL = 1e-12
 
 __all__ = [
     "AnnulusGrid",
@@ -439,6 +452,126 @@ def _block_factor(stencil: np.ndarray):
     return solve
 
 
+def _averaged_solver(stencil: np.ndarray):
+    """Exact solver of the theta-average of the stencil, by a real FFT in theta.
+
+    The averaged system is circulant in theta, so Fourier mode k of a ring
+    couples only to mode k of the neighbouring rings: the modes
+    0..n_theta//2 are complex tridiagonal systems in r, stacked into one
+    zgttrf/zgttrs pair.  Returns solve(rhs); a singular system raises
+    LinAlgError.
+    """
+    n1, m = stencil.shape[:2]
+    modes = np.arange(m // 2 + 1)
+    # x at angle j + dj has the Fourier coefficient exp(2 pi i k dj / m) X_k
+    phase = np.exp(2j * math.pi / m * np.outer(modes, np.arange(-1, 2)))
+    # symbol[k, a, i]: coefficient of mode k on ring i + a - 1 in the row of ring i
+    symbol = np.einsum("iab,kb->kai", stencil.mean(axis=1), phase)
+    symbol[:, 0, 0] = 0.0  # rings 0 and n1 - 1 end each mode's system
+    symbol[:, 2, -1] = 0.0
+    lower, diag, upper = (symbol[:, a].ravel() for a in range(3))
+    dl, d, du, du2, ipiv, info = zgttrf(lower[1:], diag, upper[:-1])
+    if info > 0:
+        raise np.linalg.LinAlgError("singular theta-averaged system")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        spec = np.fft.rfft(rhs, axis=1).T.ravel()
+        x = zgttrs(dl, d, du, du2, ipiv, spec)[0]
+        return np.fft.irfft(x.reshape(-1, n1).T, n=m, axis=1)
+
+    return solve
+
+
+def _gmres(apply, precond, rhs: np.ndarray):
+    """Left-preconditioned GMRES from x = 0 for apply(x) = rhs.
+
+    Returns (x, iterations) once the preconditioned residual has fallen by
+    KRYLOV_RTOL, or None when that takes more than MAX_KRYLOV iterations,
+    gives a non-finite x, or the preconditioned rhs is zero or not finite (a
+    Newton step never asks for a zero rhs).  Givens rotations keep the
+    Hessenberg matrix triangular, so the residual norm is known at every
+    iteration.
+    """
+    r = precond(rhs).ravel()
+    beta = float(np.linalg.norm(r))
+    if not 0.0 < beta < math.inf:
+        return None
+    basis = np.empty((MAX_KRYLOV + 1, r.size))
+    basis[0] = r / beta
+    tri = np.zeros((MAX_KRYLOV, MAX_KRYLOV))  # the rotated Hessenberg matrix
+    rotations = []
+    g = [beta]  # the rotated residual: |g[-1]| is the residual norm
+    for k in range(MAX_KRYLOV):
+        w = precond(apply(basis[k].reshape(rhs.shape))).ravel()
+        done = basis[: k + 1]
+        h = done @ w  # classical Gram-Schmidt, twice, to working precision
+        w -= h @ done
+        dh = done @ w
+        w -= dh @ done
+        col = (h + dh).tolist() + [float(np.linalg.norm(w))]
+        if col[-1] > 0.0:
+            basis[k + 1] = w / col[-1]
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+        rho = math.hypot(col[k], col[k + 1])
+        if not rho > 0.0:
+            return None
+        c, s = col[k] / rho, col[k + 1] / rho
+        rotations.append((c, s))
+        col[k] = rho
+        tri[: k + 1, k] = col[: k + 1]
+        g[k:] = [c * g[k], -s * g[k]]
+        if abs(g[-1]) <= KRYLOV_RTOL * beta:
+            y = np.linalg.solve(tri[: k + 1, : k + 1], g[:-1])
+            x = (y @ done).reshape(rhs.shape)
+            return (x, k + 1) if np.all(np.isfinite(x)) else None
+    return None
+
+
+def _linear_solver(stencil: np.ndarray):
+    """Solver of the stencil's linear system: GMRES, with block elimination as the fallback.
+
+    Returns solve(rhs) -> (x, krylov).  Each right-hand side is first solved
+    by `_gmres` on the exact stencil, preconditioned by `_averaged_solver`;
+    for a theta-independent stencil that preconditioner is the system itself
+    and one iteration suffices.  When GMRES does not converge, gives a
+    non-finite x, or the averaged system is singular, the stencil is factored
+    by `_block_factor` and those factors solve this and every later
+    right-hand side; krylov is then "exact", otherwise the GMRES iteration
+    count.  A singular fallback factorization raises LinAlgError.
+    """
+    n1, m = stencil.shape[:2]
+    coeffs = np.ascontiguousarray(stencil.transpose(2, 3, 0, 1))  # one plane per offset
+    padded = np.zeros((n1 + 2, m + 2))  # no ring beyond r[0] or r[-1]; theta wraps
+
+    def apply(x):
+        padded[1:-1, 1:-1] = x
+        padded[1:-1, 0], padded[1:-1, -1] = x[:, -1], x[:, 0]
+        out = np.zeros((n1, m))
+        for a in range(3):
+            for b in range(3):
+                out += coeffs[a, b] * padded[a : a + n1, b : b + m]
+        return out
+
+    try:
+        precond = _averaged_solver(stencil)
+    except np.linalg.LinAlgError:
+        precond = None
+    exact = None
+
+    def solve(rhs: np.ndarray):
+        nonlocal exact
+        if exact is None and precond is not None:
+            found = _gmres(apply, precond, rhs)
+            if found is not None:
+                return found
+        if exact is None:
+            exact = _block_factor(stencil)
+        return exact(rhs), "exact"
+
+    return solve
+
+
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
     # radial flux solution between the boundary means, plus the angular
     # variation blended along the radially harmonic coordinate S = int dr/g;
@@ -471,11 +604,12 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
 
     inner may be None only on zero-flux-inner grids.  Terminates when the
     sup-norm of the residual drops below cfg.newton_tol.  The Jacobian is
-    factored at the first step and again after a step that leaves the merit
-    above REFRESH_RATIO times its old value, or when kept factors give a
-    non-finite step or one the line search rejects.  Raises NewtonError
-    (carrying the last residual) when a freshly factored step is singular or
-    stagnates, or after cfg.max_newton steps.  A trial state whose residual
+    built at the first step and again after a step that leaves the merit
+    above REFRESH_RATIO times its old value, or when a kept one gives a
+    non-finite step or one the line search rejects; `_linear_solver` solves
+    each step.  Raises NewtonError (carrying the last residual) when a step
+    from a fresh Jacobian is singular or stagnates, or after cfg.max_newton
+    steps.  A trial state whose residual
     overflows is rejected by the line search, and an initial guess whose
     residual overflows raises ValueError.
     """
@@ -539,23 +673,23 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         res = residual(u)
     except FloatingPointError:
         raise ValueError("initial guess overflows the residual") from None
-    omega_used = 1.0
+    omega_used, krylov = 1.0, 0
     solve, fresh = None, True
     for it in range(cfg.max_newton):
         rnorm = float(np.max(np.abs(res)))
-        logger.info("newton iter=%d residual=%.3e damping=%.3g jacobian=%s",
-                    it, rnorm, omega_used, "fresh" if fresh else "reused")
+        logger.info("newton iter=%d residual=%.3e damping=%.3g jacobian=%s krylov=%s",
+                    it, rnorm, omega_used, "fresh" if fresh else "reused", krylov)
         if rnorm <= cfg.newton_tol:
             return u
         m0 = merit(res)
         while True:
             if fresh:
-                solve = None  # release the old factors before building new ones
-                try:
-                    solve = _block_factor(_newton_jacobian(u, grid))
-                except np.linalg.LinAlgError:
-                    raise NewtonError("singular linearization in Newton step", rnorm) from None
-            du = solve(-res)
+                solve = None  # release the old solver before building a new one
+                solve = _linear_solver(_newton_jacobian(u, grid))
+            try:
+                du, krylov = solve(-res)
+            except np.linalg.LinAlgError:
+                raise NewtonError("singular linearization in Newton step", rnorm) from None
             finite = bool(np.all(np.isfinite(du)))
             step = line_search(du, m0) if finite else None
             if step is not None:

@@ -73,8 +73,8 @@ class PolarCoord:
     theta_pol: float
 
     def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("polar radius must be nonnegative")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError("polar radius must be finite and nonnegative")
 
     def to_surface_point(self) -> SurfacePoint:
         rho = self.r / SQRT2
@@ -133,6 +133,8 @@ def geodesic_closed_form(theta: float, t: float) -> GeodesicPoint:
     angle theta + pi/4, so the launch parameter and PolarCoord.theta_pol are
     offset by pi/4.
     """
+    if not (math.isfinite(theta) and math.isfinite(t)):
+        raise ValueError("geodesic launch parameter and time must be finite")
     x = 0.5 * t * (math.cos(theta) - math.sin(theta))
     y = 0.5 * t * (math.sin(theta) + math.cos(theta))
     return GeodesicPoint(SurfacePoint(x, y), x * y / 2.0)

@@ -198,8 +198,19 @@ def test_cli_exterior_non_finite_s_is_usage_error(s, capsys):
         ["asymptotic", "--schedule", "8,inf", "--n-r", "33", "--n-theta", "16"],
         ["catenoid", "--c", "nan", "--t0", "1"],
         ["verify", "--tol", "nan"],
+        ["barrier", "--step", "0"],
+        ["barrier", "--step", "-0.1"],
+        ["barrier", "--step", "nan"],
+        ["barrier", "--rmax", "0"],
+        ["barrier", "--rmax", "inf"],
+        ["curvature", "--r", "nan"],
+        ["curvature", "--r", "1,inf"],
+        ["geodesic", "--t", "nan"],
+        ["geodesic", "--theta", "nan"],
     ],
-    ids=["asymptotic-schedule", "catenoid-c", "verify-tol"],
+    ids=["asymptotic-schedule", "catenoid-c", "verify-tol", "barrier-step-zero",
+         "barrier-step-negative", "barrier-step-nan", "barrier-rmax-zero", "barrier-rmax-inf",
+         "curvature-r-nan", "curvature-r-inf", "geodesic-t-nan", "geodesic-theta-nan"],
 )
 def test_cli_non_finite_input_is_usage_error(argv, capsys):
     assert main(argv) == 2
@@ -252,6 +263,20 @@ def test_cli_export_surface(tmp_path):
     path = tmp_path / "t.obj"
     assert main(["export", "--surface", "tplane", "--nu", "6", "--obj", str(path)]) == 0
     assert path.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--surface", "tplane", "--nu", "0"], ["--surface", "tplane", "--nv", "1"],
+     ["--surface", "catenoid", "--nu", "1"], ["--surface", "catenoid", "--nv", "1"]],
+    ids=["tplane-nu-0", "tplane-nv-1", "catenoid-nu-1", "catenoid-nv-1"],
+)
+def test_cli_export_without_faces_is_usage_error(tmp_path, args, capsys):
+    # one sample row gives vertices but no faces, zero gives an empty mesh
+    path = tmp_path / "empty.obj"
+    assert main(["export", *args, "--obj", str(path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_usage_errors():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,7 +103,6 @@ def test_config_file_round_trip(tmp_path):
 def test_readme_lists_every_config_key():
     import dataclasses
     import pathlib
-    import re
 
     readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
     sentence = re.search(r"`--config` \(keys: (.*?)\)", readme, re.S).group(1)
@@ -219,21 +219,59 @@ def _linearization_state(kind, n_theta, grading):
     return grid, inner_vals, outer_vals, u, xi
 
 
-@pytest.mark.parametrize("kind", ["annulus", "disk"])
-@pytest.mark.parametrize("n_theta", [8, 10, 16])
-def test_block_solve_matches_sparse_oracle(kind, n_theta):
-    # at n_theta = 8 the periodic wrap couples j = 0 and j = 7 in every block
+def _check_against_sparse_oracle(make_solver, kind, n_theta):
     grid, _, _, u, _ = _linearization_state(kind, n_theta, grading=2.0)
     stencil = sv._newton_jacobian(u, grid)
     assert stencil.shape == grid.shape + (3, 3)
     rhs, rhs2 = np.random.default_rng(4).standard_normal((2,) + grid.shape)
-    solve = sv._block_factor(stencil)
+    solve = make_solver(stencil)
     x = solve(rhs)
     ref = spsolve(_stencil_matrix(stencil), rhs.ravel()).reshape(grid.shape)
     assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
-    # the kept factors serve a second right-hand side as a fresh factorization does
-    ref2 = sv._block_factor(stencil)(rhs2)
+    # the kept solver serves a second right-hand side as a fresh one does
+    ref2 = make_solver(stencil)(rhs2)
     assert np.max(np.abs(solve(rhs2) - ref2)) <= 1e-10 * np.max(np.abs(ref2))
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+@pytest.mark.parametrize("n_theta", [8, 10, 16])
+def test_block_solve_matches_sparse_oracle(kind, n_theta):
+    # at n_theta = 8 the periodic wrap couples j = 0 and j = 7 in every block
+    _check_against_sparse_oracle(sv._block_factor, kind, n_theta)
+
+
+@pytest.mark.parametrize("kind", ["annulus", "disk"])
+@pytest.mark.parametrize("n_theta", [8, 10, 16])
+def test_krylov_solve_matches_sparse_oracle(kind, n_theta):
+    # the disk states converge in 10 GMRES iterations; the annulus states
+    # need about 21 for these white-noise right-hand sides and so also
+    # check the fallback
+    def make_solver(stencil):
+        solve = sv._linear_solver(stencil)
+        return lambda rhs: solve(rhs)[0]
+
+    _check_against_sparse_oracle(make_solver, kind, n_theta)
+
+
+def test_strongly_non_radial_state_takes_the_exact_fallback(monkeypatch):
+    # mode-3 data of amplitude 3 on a small disk at n_theta = 8: the theta
+    # average is too far from the stencil for MAX_KRYLOV iterations, so the
+    # block elimination solves this and the next right-hand side
+    grid = sv.AnnulusGrid.disk(2.0, 17, 8)
+    u = sv._default_guess(grid, None, BoundaryData.cosine(3.0, mode=3)(grid.theta))
+    stencil = sv._newton_jacobian(u, grid)
+    factorizations = []
+    factor = sv._block_factor
+    monkeypatch.setattr(sv, "_block_factor", lambda st: factorizations.append(None) or factor(st))
+    solve = sv._linear_solver(stencil)
+    matrix = _stencil_matrix(stencil)
+    for seed in (7, 8):
+        rhs = np.random.default_rng(seed).standard_normal(grid.shape)
+        x, krylov = solve(rhs)
+        assert krylov == "exact"
+        ref = spsolve(matrix, rhs.ravel()).reshape(grid.shape)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert len(factorizations) == 1  # factored once, kept for the second solve
 
 
 @pytest.mark.parametrize("kind, grading", [
@@ -361,38 +399,38 @@ def test_solution_convergence_order(r_in, r_out, grading, t):
 
 @pytest.mark.parametrize("broken", ["negated", "non-finite"])
 def test_failed_reuse_refactors_and_converges(monkeypatch, caplog, broken):
-    # the first factorization gives a good first step and then, reused, a
+    # the first linear solver gives a good first step and then, reused, a
     # step that fails the line search or is not finite: the solve must
-    # refactor at that iterate and converge instead of raising
+    # build a new solver at that iterate and converge instead of raising
     import logging
 
-    factor = sv._block_factor
-    factorizations = []
+    linear_solver = sv._linear_solver
+    solvers = []
 
-    def flaky_factor(stencil):
-        solve = factor(stencil)
-        factorizations.append(None)
-        if len(factorizations) > 1:
+    def flaky_solver(stencil):
+        solve = linear_solver(stencil)
+        solvers.append(None)
+        if len(solvers) > 1:
             return solve
         calls = []
 
         def first_solve(rhs):
             calls.append(None)
-            x = solve(rhs)
+            x, krylov = solve(rhs)
             if len(calls) == 1:
-                return x
-            return -x if broken == "negated" else np.full_like(x, np.nan)
+                return x, krylov
+            return (-x if broken == "negated" else np.full_like(x, np.nan)), krylov
 
         return first_solve
 
-    monkeypatch.setattr(sv, "_block_factor", flaky_factor)
+    monkeypatch.setattr(sv, "_linear_solver", flaky_solver)
     cfg = small_cfg()
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
         u = sv.dirichlet_solve(grid, 0.0, BoundaryData.cosine(0.5), cfg)
     steps = [r.getMessage() for r in caplog.records if r.name == "nil3lab.solver"]
-    assert "jacobian=reused" in steps[1]  # the broken factors were tried
-    assert len(factorizations) >= 2
+    assert "jacobian=reused" in steps[1]  # the broken solver was tried
+    assert len(solvers) >= 2
     assert np.max(np.abs(sv.mse_operator(u, grid)[1:-1])) <= cfg.newton_tol
 
 
@@ -420,7 +458,9 @@ def test_newton_emits_one_log_line_per_step(caplog):
     for line in steps:
         assert "residual=" in line and "damping=" in line
         assert ("jacobian=fresh" in line) != ("jacobian=reused" in line)
+        assert re.search(r" krylov=(\d+|exact)$", line), line
     assert "jacobian=fresh" in steps[0]
+    assert "krylov=0" in steps[0]  # no step has reached the initial guess
 
 
 def test_boundary_data_validation():
@@ -536,6 +576,20 @@ def test_exterior_outer_search_counters(monkeypatch, s):
         assert all(prev_t <= t <= cap for t in outer)
         assert abs(grad - s) <= cfg.bisection_tol
         prev_t = t_m
+
+
+def test_exterior_steps_take_one_krylov_iteration(caplog):
+    # warm-started exterior states are radial, so the theta-averaged
+    # preconditioner is the Newton system itself
+    import logging
+
+    with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
+        for s in (0.5, 1.0, 2.0):
+            sv.exterior_solve(s, 1.0, small_cfg())
+    steps = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("newton iter=") and "iter=0 " not in r.getMessage()]
+    assert steps
+    assert all(line.endswith(" krylov=1") for line in steps), steps
 
 
 def test_exterior_gives_up_below_the_cap(monkeypatch):

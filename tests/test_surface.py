@@ -26,6 +26,9 @@ def test_geodesic_closed_form_examples():
 
     gp = sf.geodesic_closed_form(0.0, 2.0)
     assert sf.distance_to_identity(gp.point) == pytest.approx(2.0, abs=1e-14)
+    for theta, t in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            sf.geodesic_closed_form(theta, t)
 
 
 def test_distance_examples():
@@ -55,8 +58,9 @@ def test_polar_round_trip():
     q = pc.to_surface_point()
     assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-12
     assert pc.r == sf.distance_to_identity(p)
-    with pytest.raises(ValueError):
-        sf.PolarCoord(-1.0, 0.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sf.PolarCoord(bad, 0.0)
 
 
 def test_circle_action_rotation_example():
