@@ -93,9 +93,18 @@ def _cmd_curvature(args) -> int:
     return 0
 
 
+def _catenoid_params(args) -> radial.CatenoidParams:
+    params = radial.CatenoidParams(args.c, args.t0)
+    if not params.t0 < args.tmax < math.inf:
+        raise ValueError(f"--tmax={args.tmax:g} must be finite and above the neck --t0={args.t0:g}")
+    return params
+
+
 def _cmd_catenoid(args) -> int:
     _echo_config(args)
-    params = radial.CatenoidParams(args.c, args.t0)
+    params = _catenoid_params(args)
+    if args.samples < 2:
+        raise ValueError("--samples must be at least 2: a profile needs two nodes")
     t_nodes = np.linspace(params.t0, args.tmax, args.samples)
     prof = radial.catenoid_profile(params, t_nodes, tol=args.tol)
     flux_lo = radial.catenoid_flux_check(params, params.t0 + 0.25 * (args.tmax - params.t0))
@@ -121,6 +130,8 @@ def _cmd_barrier(args) -> int:
     params = radial.BarrierParams(s=args.s, alpha=args.alpha)
     if not (0 < args.rmax < math.inf and 0 < args.step < math.inf):
         raise ValueError("--rmax and --step must be finite and positive")
+    if args.step > args.rmax:
+        raise ValueError("--step must not exceed --rmax: a profile needs two nodes")
     r_nodes = np.arange(0.0, args.rmax + 0.5 * args.step, args.step)
     prof = radial.barrier_profile(params, r_nodes)
     bound = radial.barrier_sup_bound(params)
@@ -192,7 +203,7 @@ def _cmd_export(args) -> int:
         sample = verify.slice_sample(extent=args.extent, n=args.nu)
     elif args.surface == "catenoid":
         sample = verify.catenoid_sample(
-            radial.CatenoidParams(args.c, args.t0), args.tmax, n_t=args.nu, n_theta=args.nv
+            _catenoid_params(args), args.tmax, n_t=args.nu, n_theta=args.nv
         )
     else:
         raise ValueError(f"unknown surface {args.surface!r}")

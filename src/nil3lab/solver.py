@@ -7,26 +7,23 @@ on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
 Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
-differences of u (`_face_slopes`).  Nonlinear solves use damped Newton: the
-exact 9-point Jacobian stencil follows from those slopes by the chain rule,
-and each step is damped by Armijo-style halving from the full step on
-residual increase.  The rotational symmetry of the slice makes the stencil
-circulant in theta up to its theta-variation, so each linear system is
-solved by GMRES preconditioned with the theta-averaged stencil, which a real
+differences of u (`_face_slopes`).  Nonlinear solves use damped Newton, each
+step damped by Armijo-style halving from the full step on residual increase.
+Every step linearizes at its iterate: the chain rule gives face weights
+(`_flux_weights`), and one map (`_linearized`) turns them into exact
+Jacobian-vector products or, on the unit stencil, the 9-point stencil.  The
+rotational symmetry of the slice makes the linearization circulant in theta
+up to its theta-variation, so each step is solved by matrix-free GMRES
+preconditioned with the stencil of the theta-averaged weights, which a real
 FFT in theta splits into one tridiagonal system in r per Fourier mode.  For
 rotationally symmetric states that preconditioner is exact and GMRES stops
 after one iteration.  When GMRES does not cut the preconditioned residual by
-KRYLOV_RTOL within MAX_KRYLOV iterations, the stencil is factored exactly by
-block elimination in r (each ring couples only to its two neighbours) and
-those factors solve its later systems too.  The stencil is built at the
-first step and kept while the merit contracts: a step that does not cut it
-tenfold (REFRESH_RATIO) rebuilds it for the next one, and a step with a kept
-stencil that is not finite or fails the line search is retried at the same
-iterate with a fresh one.  One log line is emitted per Newton step on the
-"nil3lab.solver" logger; its jacobian= field says whether the step from that
-iterate starts from a fresh stencil or a kept one, and its krylov= field
-gives the GMRES iterations of the step that reached the iterate ("exact"
-when block elimination solved it, 0 at the initial guess).
+KRYLOV_RTOL within MAX_KRYLOV iterations, the full stencil is built and
+factored exactly by block elimination in r (each ring couples only to its
+two neighbours), and the later steps of that solve go straight to it.  One
+log line is emitted per Newton step on the "nil3lab.solver" logger; its
+krylov= field gives the GMRES iterations of the step that reached the
+iterate ("exact" when block elimination solved it, 0 at the initial guess).
 
 Two boundary-value programs sit on top:
 
@@ -63,10 +60,7 @@ logger = logging.getLogger("nil3lab.solver")
 
 # Dirichlet solves the exterior outer-value search spends on one m at most
 MAX_OUTER_EVALS = 30
-# the Jacobian is rebuilt after a Newton step that leaves the merit above
-# this fraction of its old value; otherwise the next step reuses it
-REFRESH_RATIO = 0.1
-# GMRES iterations a linear solve may take, and the factor by which they must
+# GMRES iterations a Newton step may take, and the factor by which they must
 # cut the preconditioned residual, before exact block elimination takes over
 MAX_KRYLOV = 20
 KRYLOV_RTOL = 1e-12
@@ -376,28 +370,49 @@ def _solve_residual(u, grid, inner_vals, outer_vals):
     return res
 
 
+def _flux_weights(u: np.ndarray, grid: AnnulusGrid):
+    """Weights ((a_r, b_r), (a_t, b_t)) of the linearized radial and angular face fluxes.
+
+    For the face slopes (x, y) of u and W = sqrt(1 + x^2 + y^2),
+    d(x / W) = a dx - b dy with a = (1 + y^2) / W^3 and b = x y / W^3.
+    """
+    weights = []
+    for x, y in _face_slopes(u, grid):
+        w3 = (1.0 + x * x + y * y) ** 1.5
+        weights.append(((1.0 + y * y) / w3, x * y / w3))
+    return tuple(weights)
+
+
+def _linearized(weights, v: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
+    """The solve residual linearized at the face weights, applied to v.
+
+    For a field v this is the Jacobian-vector product; for the unit stencil
+    (see `_shift`) it is the Jacobian stencil, window axes first.  The
+    pinned rows are the identity.
+    """
+    (a_r, b_r), (a_t, b_t) = weights
+    (dx_r, dy_r), (dx_t, dy_t) = _face_slopes(v, grid)
+    out = _divergence(
+        grid.g_face[:, None] * (a_r * dx_r - b_r * dy_r), a_t * dx_t - b_t * dy_t, grid
+    )
+    out[..., grid.pinned, :] = v[..., grid.pinned, :]
+    return out
+
+
+def _unit_stencil(grid: AnnulusGrid) -> np.ndarray:
+    # the unit stencil is the same at every angle, so one column serves all
+    unit = np.zeros((3, 3, grid.shape[0], 1))
+    unit[1, 1] = 1.0
+    return unit
+
+
 def _newton_jacobian(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     """Exact Jacobian stencil of the solve residual, by the chain rule.
 
     stencil[i, j, 1+di, 1+dj] is the derivative of residual (i, j) with
-    respect to u at (i+di, j+dj mod n_theta).  d(x / W) = ((1 + y^2) dx -
-    x y dy) / W^3 with W = sqrt(1 + x^2 + y^2), and dx, dy are the face
-    slopes of the unit stencil; the pinned rows are the identity.
+    respect to u at (i+di, j+dj mod n_theta).
     """
-    # the unit stencil is the same at every angle, so one column serves all
-    unit = np.zeros((3, 3, u.shape[0], 1))
-    unit[1, 1] = 1.0
-
-    def dflux(slopes, unit_slopes):
-        (x, y), (dx, dy) = slopes, unit_slopes
-        w3 = (1.0 + x * x + y * y) ** 1.5
-        return (1.0 + y * y) / w3 * dx - x * y / w3 * dy
-
-    (rad, ang), (unit_rad, unit_ang) = _face_slopes(u, grid), _face_slopes(unit, grid)
-    jac = _divergence(
-        grid.g_face[:, None] * dflux(rad, unit_rad), dflux(ang, unit_ang), grid
-    )
-    jac[..., grid.pinned, :] = unit[..., grid.pinned, :]
+    jac = _linearized(_flux_weights(u, grid), _unit_stencil(grid), grid)
     return np.ascontiguousarray(jac.transpose(2, 3, 0, 1))
 
 
@@ -452,21 +467,21 @@ def _block_factor(stencil: np.ndarray):
     return solve
 
 
-def _averaged_solver(stencil: np.ndarray):
-    """Exact solver of the theta-average of the stencil, by a real FFT in theta.
+def _averaged_solver(column: np.ndarray, m: int):
+    """Exact solver of a theta-independent stencil on m angles, by a real FFT in theta.
 
-    The averaged system is circulant in theta, so Fourier mode k of a ring
-    couples only to mode k of the neighbouring rings: the modes
-    0..n_theta//2 are complex tridiagonal systems in r, stacked into one
-    zgttrf/zgttrs pair.  Returns solve(rhs); a singular system raises
-    LinAlgError.
+    column[1+di, 1+dj, i] is the stencil of ring i, the same at every angle.
+    The system is circulant in theta, so Fourier mode k of a ring couples
+    only to mode k of the neighbouring rings: the modes 0..m//2 are
+    complex tridiagonal systems in r, stacked into one zgttrf/zgttrs pair.
+    Returns solve(rhs); a singular system raises LinAlgError.
     """
-    n1, m = stencil.shape[:2]
+    n1 = column.shape[-1]
     modes = np.arange(m // 2 + 1)
     # x at angle j + dj has the Fourier coefficient exp(2 pi i k dj / m) X_k
     phase = np.exp(2j * math.pi / m * np.outer(modes, np.arange(-1, 2)))
     # symbol[k, a, i]: coefficient of mode k on ring i + a - 1 in the row of ring i
-    symbol = np.einsum("iab,kb->kai", stencil.mean(axis=1), phase)
+    symbol = np.einsum("abi,kb->kai", column, phase)
     symbol[:, 0, 0] = 0.0  # rings 0 and n1 - 1 end each mode's system
     symbol[:, 2, -1] = 0.0
     lower, diag, upper = (symbol[:, a].ravel() for a in range(3))
@@ -528,48 +543,31 @@ def _gmres(apply, precond, rhs: np.ndarray):
     return None
 
 
-def _linear_solver(stencil: np.ndarray):
-    """Solver of the stencil's linear system: GMRES, with block elimination as the fallback.
+def _newton_step(u: np.ndarray, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True):
+    """Solve J(u) du = rhs for the Newton direction: (du, GMRES iterations or "exact").
 
-    Returns solve(rhs) -> (x, krylov).  Each right-hand side is first solved
-    by `_gmres` on the exact stencil, preconditioned by `_averaged_solver`;
-    for a theta-independent stencil that preconditioner is the system itself
-    and one iteration suffices.  When GMRES does not converge, gives a
-    non-finite x, or the averaged system is singular, the stencil is factored
-    by `_block_factor` and those factors solve this and every later
-    right-hand side; krylov is then "exact", otherwise the GMRES iteration
-    count.  A singular fallback factorization raises LinAlgError.
+    With gmres, `_gmres` runs on the matrix-free products of `_linearized`,
+    preconditioned by `_averaged_solver` on the stencil of the
+    theta-averaged face weights, which is the theta-average of the full
+    stencil; for rotationally symmetric states that preconditioner is the
+    system itself and one iteration suffices.  Without gmres, or when GMRES
+    does not converge, gives a non-finite du or the averaged system is
+    singular, the full stencil is built and factored by `_block_factor`.  A
+    singular factorization raises LinAlgError.
     """
-    n1, m = stencil.shape[:2]
-    coeffs = np.ascontiguousarray(stencil.transpose(2, 3, 0, 1))  # one plane per offset
-    padded = np.zeros((n1 + 2, m + 2))  # no ring beyond r[0] or r[-1]; theta wraps
-
-    def apply(x):
-        padded[1:-1, 1:-1] = x
-        padded[1:-1, 0], padded[1:-1, -1] = x[:, -1], x[:, 0]
-        out = np.zeros((n1, m))
-        for a in range(3):
-            for b in range(3):
-                out += coeffs[a, b] * padded[a : a + n1, b : b + m]
-        return out
-
-    try:
-        precond = _averaged_solver(stencil)
-    except np.linalg.LinAlgError:
-        precond = None
-    exact = None
-
-    def solve(rhs: np.ndarray):
-        nonlocal exact
-        if exact is None and precond is not None:
-            found = _gmres(apply, precond, rhs)
+    if gmres:
+        weights = _flux_weights(u, grid)
+        mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face) for face in weights)
+        column = _linearized(mean, _unit_stencil(grid), grid)[..., 0]
+        try:
+            precond = _averaged_solver(column, grid.shape[1])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            found = _gmres(lambda v: _linearized(weights, v, grid), precond, rhs)
             if found is not None:
                 return found
-        if exact is None:
-            exact = _block_factor(stencil)
-        return exact(rhs), "exact"
-
-    return solve
+    return _block_factor(_newton_jacobian(u, grid))(rhs), "exact"
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -603,13 +601,11 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     """Damped-Newton solve of the discrete graph equation with pinned boundary rows.
 
     inner may be None only on zero-flux-inner grids.  Terminates when the
-    sup-norm of the residual drops below cfg.newton_tol.  The Jacobian is
-    built at the first step and again after a step that leaves the merit
-    above REFRESH_RATIO times its old value, or when a kept one gives a
-    non-finite step or one the line search rejects; `_linear_solver` solves
-    each step.  Raises NewtonError (carrying the last residual) when a step
-    from a fresh Jacobian is singular or stagnates, or after cfg.max_newton
-    steps.  A trial state whose residual
+    sup-norm of the residual drops below cfg.newton_tol.  Each step is
+    solved by `_newton_step` at the current iterate; after the first step
+    that takes the exact fallback, the later ones skip GMRES.  Raises
+    NewtonError (carrying the last residual) when a step is singular or
+    stagnates, or after cfg.max_newton steps.  A trial state whose residual
     overflows is rejected by the line search, and an initial guess whose
     residual overflows raises ValueError.
     """
@@ -651,7 +647,7 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
             return _solve_residual(v, grid, inner_vals, outer_vals)
 
     def line_search(du, m0):
-        """Halve from the full step until the merit decreases: (u, res, omega, merit) or None."""
+        """Halve from the full step until the merit decreases: (u, res, omega) or None."""
         omega = 1.0
         while omega > 1e-6:
             trial = u + omega * du
@@ -665,7 +661,7 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
                     m_t < m0 * (1.0 - 1e-4 * omega)
                     or float(np.max(np.abs(res_t))) <= cfg.newton_tol
                 ):
-                    return trial, res_t, omega, m_t
+                    return trial, res_t, omega
             omega *= 0.5
         return None
 
@@ -674,37 +670,26 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     except FloatingPointError:
         raise ValueError("initial guess overflows the residual") from None
     omega_used, krylov = 1.0, 0
-    solve, fresh = None, True
     for it in range(cfg.max_newton):
         rnorm = float(np.max(np.abs(res)))
-        logger.info("newton iter=%d residual=%.3e damping=%.3g jacobian=%s krylov=%s",
-                    it, rnorm, omega_used, "fresh" if fresh else "reused", krylov)
+        logger.info("newton iter=%d residual=%.3e damping=%.3g krylov=%s",
+                    it, rnorm, omega_used, krylov)
         if rnorm <= cfg.newton_tol:
             return u
-        m0 = merit(res)
-        while True:
-            if fresh:
-                solve = None  # release the old solver before building a new one
-                solve = _linear_solver(_newton_jacobian(u, grid))
-            try:
-                du, krylov = solve(-res)
-            except np.linalg.LinAlgError:
-                raise NewtonError("singular linearization in Newton step", rnorm) from None
-            finite = bool(np.all(np.isfinite(du)))
-            step = line_search(du, m0) if finite else None
-            if step is not None:
-                break
-            if not fresh:
-                fresh = True  # the kept factors failed here: refactor at this iterate
-            elif not finite:
-                raise NewtonError("singular linearization in Newton step", rnorm)
-            else:
-                raise NewtonError(
-                    f"Newton stagnated at residual {rnorm:.3e} (no productive damping)",
-                    rnorm,
-                )
-        u, res, omega_used, m1 = step
-        fresh = m1 > REFRESH_RATIO * m0
+        try:
+            # a state too far from rotational symmetry for GMRES once stays so for
+            # the rest of the solve: its later steps go straight to the fallback
+            du, krylov = _newton_step(u, -res, grid, gmres=krylov != "exact")
+        except np.linalg.LinAlgError:
+            raise NewtonError("singular linearization in Newton step", rnorm) from None
+        if not np.all(np.isfinite(du)):
+            raise NewtonError("singular linearization in Newton step", rnorm)
+        step = line_search(du, merit(res))
+        if step is None:
+            raise NewtonError(
+                f"Newton stagnated at residual {rnorm:.3e} (no productive damping)", rnorm
+            )
+        u, res, omega_used = step
     rnorm = float(np.max(np.abs(res)))
     raise NewtonError(
         f"Newton did not converge in {cfg.max_newton} iterations "

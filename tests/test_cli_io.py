@@ -218,6 +218,25 @@ def test_cli_non_finite_input_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["barrier", "--step", "50", "--rmax", "1"], "--step"),
+        (["catenoid", "--c", "3", "--t0", "1", "--samples", "1"], "--samples"),
+        (["catenoid", "--c", "3", "--t0", "1", "--tmax", "0.5"], "--tmax"),
+        (["export", "--surface", "catenoid", "--tmax", "0.5"], "--tmax"),
+    ],
+    ids=["barrier-step-above-rmax", "catenoid-one-sample", "catenoid-tmax-below-neck",
+         "export-tmax-below-neck"],
+)
+def test_cli_names_the_flag_at_fault(argv, flag, capsys):
+    # the helper's own message ("profile needs at least two nodes", "profile
+    # radius t=... below the neck") names no flag
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+
+
+@pytest.mark.parametrize(
     "argv, lines",
     [
         (["asymptotic", "--schedule", "4,6"], "n_r = 17\nn_theta = 8\ncompact_rmax = 0.01\n"),
