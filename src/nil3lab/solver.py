@@ -7,23 +7,21 @@ on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
 Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
-differences of u (`_face_slopes`).  Nonlinear solves use damped Newton, each
-step damped by Armijo-style halving from the full step on residual increase.
-Every step linearizes at its iterate: the chain rule gives face weights
-(`_flux_weights`), and one map (`_linearized`) turns them into exact
-Jacobian-vector products or, on the unit stencil, the 9-point stencil.  The
-rotational symmetry of the slice makes the linearization circulant in theta
-up to its theta-variation, so each step is solved by matrix-free GMRES
-preconditioned with the stencil of the theta-averaged weights, which a real
-FFT in theta splits into one tridiagonal system in r per Fourier mode.  For
-rotationally symmetric states that preconditioner is exact and GMRES stops
-after one iteration.  When GMRES does not cut the preconditioned residual by
-KRYLOV_RTOL within MAX_KRYLOV iterations, the full stencil is built and
-factored exactly by block elimination in r (each ring couples only to its
-two neighbours), and the later steps of that solve go straight to it.  One
-log line is emitted per Newton step on the "nil3lab.solver" logger; its
-krylov= field gives the GMRES iterations of the step that reached the
-iterate ("exact" when block elimination solved it, 0 at the initial guess).
+differences of u (`_face_slopes`).  Nonlinear solves use Newton damped by
+Armijo-style halving.  Each step linearizes at its iterate: the chain rule
+gives face weights (`_flux_weights`), which one map (`_linearized`) turns
+into Jacobian-vector products or, on the unit stencil, the 9-point stencil.
+The rotational symmetry makes the linearization circulant in theta up to its
+theta-variation, so GMRES on those products is preconditioned by the stencil
+of the theta-averaged weights: one tridiagonal system in r per Fourier mode,
+exact for rotationally symmetric states.  When GMRES misses KRYLOV_RTOL in
+MAX_KRYLOV iterations, the stencil is factored by block elimination in r, and
+the later steps of that solve go straight to it.  A damped Newton step is
+compared with the lagged-diffusivity step (weights (1/W, 0), W frozen at the
+iterate), and the one with the lower merit is taken.  Each step logs one line
+on the "nil3lab.solver" logger: step= (newton or lagged) and krylov= (GMRES
+iterations, "exact" for block elimination); the initial guess logs
+step=none krylov=0.
 
 Two boundary-value programs sit on top:
 
@@ -383,6 +381,16 @@ def _flux_weights(u: np.ndarray, grid: AnnulusGrid):
     return tuple(weights)
 
 
+def _lagged_weights(u: np.ndarray, grid: AnnulusGrid):
+    """Face weights (1/W, 0) of the lagged-diffusivity step, W frozen at u.
+
+    The residual is linear in u at frozen W, so this step lands on the
+    Picard iterate: the solution of div(grad u / W) = 0 with the boundary data.
+    """
+    return tuple((1.0 / np.sqrt(1.0 + x * x + y * y), np.zeros_like(x))
+                 for x, y in _face_slopes(u, grid))
+
+
 def _linearized(weights, v: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     """The solve residual linearized at the face weights, applied to v.
 
@@ -543,8 +551,8 @@ def _gmres(apply, precond, rhs: np.ndarray):
     return None
 
 
-def _newton_step(u: np.ndarray, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True):
-    """Solve J(u) du = rhs for the Newton direction: (du, GMRES iterations or "exact").
+def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True):
+    """Solve J du = rhs, J linearized at the face weights: (du, GMRES iterations or "exact").
 
     With gmres, `_gmres` runs on the matrix-free products of `_linearized`,
     preconditioned by `_averaged_solver` on the stencil of the
@@ -552,11 +560,10 @@ def _newton_step(u: np.ndarray, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool 
     stencil; for rotationally symmetric states that preconditioner is the
     system itself and one iteration suffices.  Without gmres, or when GMRES
     does not converge, gives a non-finite du or the averaged system is
-    singular, the full stencil is built and factored by `_block_factor`.  A
-    singular factorization raises LinAlgError.
+    singular, the full stencil is built from the same weights and factored
+    by `_block_factor`.  A singular factorization raises LinAlgError.
     """
     if gmres:
-        weights = _flux_weights(u, grid)
         mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face) for face in weights)
         column = _linearized(mean, _unit_stencil(grid), grid)[..., 0]
         try:
@@ -567,7 +574,9 @@ def _newton_step(u: np.ndarray, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool 
             found = _gmres(lambda v: _linearized(weights, v, grid), precond, rhs)
             if found is not None:
                 return found
-    return _block_factor(_newton_jacobian(u, grid))(rhs), "exact"
+    # the stencil in the layout of `_newton_jacobian`
+    stencil = _linearized(weights, _unit_stencil(grid), grid).transpose(2, 3, 0, 1)
+    return _block_factor(stencil)(rhs), "exact"
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -602,8 +611,10 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
 
     inner may be None only on zero-flux-inner grids.  Terminates when the
     sup-norm of the residual drops below cfg.newton_tol.  Each step is
-    solved by `_newton_step` at the current iterate; after the first step
-    that takes the exact fallback, the later ones skip GMRES.  Raises
+    solved by `_newton_step` at the current iterate; when the line search
+    damps or rejects it, the lagged-diffusivity step is solved too and the
+    step with the lower merit is taken.  After the first linear solve that
+    takes the exact fallback, the later ones skip GMRES.  Raises
     NewtonError (carrying the last residual) when a step is singular or
     stagnates, or after cfg.max_newton steps.  A trial state whose residual
     overflows is rejected by the line search, and an initial guess whose
@@ -647,7 +658,7 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
             return _solve_residual(v, grid, inner_vals, outer_vals)
 
     def line_search(du, m0):
-        """Halve from the full step until the merit decreases: (u, res, omega) or None."""
+        """Halve from the full step until the merit decreases: (u, res, omega, merit) or None."""
         omega = 1.0
         while omega > 1e-6:
             trial = u + omega * du
@@ -661,7 +672,7 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
                     m_t < m0 * (1.0 - 1e-4 * omega)
                     or float(np.max(np.abs(res_t))) <= cfg.newton_tol
                 ):
-                    return trial, res_t, omega
+                    return trial, res_t, omega, m_t
             omega *= 0.5
         return None
 
@@ -669,27 +680,38 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         res = residual(u)
     except FloatingPointError:
         raise ValueError("initial guess overflows the residual") from None
-    omega_used, krylov = 1.0, 0
+    omega_used, kind, krylov, gmres = 1.0, "none", 0, True
     for it in range(cfg.max_newton):
         rnorm = float(np.max(np.abs(res)))
-        logger.info("newton iter=%d residual=%.3e damping=%.3g krylov=%s",
-                    it, rnorm, omega_used, krylov)
+        logger.info("newton iter=%d residual=%.3e damping=%.3g step=%s krylov=%s",
+                    it, rnorm, omega_used, kind, krylov)
         if rnorm <= cfg.newton_tol:
             return u
-        try:
+        m0, best = merit(res), None
+        # a Newton step that the line search damps or rejects is compared with
+        # the lagged-diffusivity step from the same iterate, and the step with
+        # the lower merit is taken: the exact direction can stall where the
+        # lagged one still makes progress
+        for name, weights_at in (("newton", _flux_weights), ("lagged", _lagged_weights)):
+            try:
+                du, k = _newton_step(weights_at(u, grid), -res, grid, gmres)
+            except np.linalg.LinAlgError:
+                raise NewtonError("singular linearization in Newton step", rnorm) from None
+            if not np.all(np.isfinite(du)):
+                raise NewtonError("singular linearization in Newton step", rnorm)
             # a state too far from rotational symmetry for GMRES once stays so for
-            # the rest of the solve: its later steps go straight to the fallback
-            du, krylov = _newton_step(u, -res, grid, gmres=krylov != "exact")
-        except np.linalg.LinAlgError:
-            raise NewtonError("singular linearization in Newton step", rnorm) from None
-        if not np.all(np.isfinite(du)):
-            raise NewtonError("singular linearization in Newton step", rnorm)
-        step = line_search(du, merit(res))
-        if step is None:
+            # the rest of the solve: its later linear solves go straight to the fallback
+            gmres = k != "exact"
+            step = line_search(du, m0)
+            if step is not None and (best is None or step[3] < best[0][3]):
+                best = step, name, k
+            if best is not None and best[0][2] == 1.0:
+                break
+        if best is None:
             raise NewtonError(
                 f"Newton stagnated at residual {rnorm:.3e} (no productive damping)", rnorm
             )
-        u, res, omega_used = step
+        (u, res, omega_used, _), kind, krylov = best
     rnorm = float(np.max(np.abs(res)))
     raise NewtonError(
         f"Newton did not converge in {cfg.max_newton} iterations "

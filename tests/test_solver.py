@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 
@@ -249,7 +250,8 @@ def test_krylov_solve_matches_sparse_oracle(kind, n_theta):
     # more than MAX_KRYLOV for these white-noise right-hand sides and so
     # check the fallback
     _check_against_sparse_oracle(
-        lambda u, grid: lambda rhs: sv._newton_step(u, rhs, grid)[0], kind, n_theta
+        lambda u, grid: lambda rhs: sv._newton_step(sv._flux_weights(u, grid), rhs, grid)[0],
+        kind, n_theta,
     )
 
 
@@ -262,7 +264,7 @@ def test_strongly_non_radial_state_takes_the_exact_fallback():
     matrix = _stencil_matrix(sv._newton_jacobian(u, grid))
     for seed in (7, 8):
         rhs = np.random.default_rng(seed).standard_normal(grid.shape)
-        x, krylov = sv._newton_step(u, rhs, grid)
+        x, krylov = sv._newton_step(sv._flux_weights(u, grid), rhs, grid)
         assert krylov == "exact"
         ref = spsolve(matrix, rhs.ravel()).reshape(grid.shape)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -294,6 +296,17 @@ def test_averaged_weights_give_the_averaged_stencil(kind, grading):
     averaged = sv._newton_jacobian(u, grid).mean(axis=1)
     err = np.max(np.abs(column.transpose(2, 0, 1) - averaged))
     assert err <= 1e-14 * np.max(np.abs(averaged))
+
+
+@pytest.mark.parametrize("kind, grading", _LINEARIZATION_CASES)
+def test_lagged_weights_reproduce_the_residual(kind, grading):
+    # the residual is linear in u at frozen W: the lagged map applied to u
+    # itself is the operator, so the lagged step lands on the Picard iterate
+    grid, _, _, u, _ = _linearization_state(kind, 16, grading=grading)
+    ref = sv.mse_operator(u, grid)
+    lagged = sv._linearized(sv._lagged_weights(u, grid), u, grid)
+    lagged[grid.pinned] = 0.0  # the operator reports zero on pinned rows
+    assert np.max(np.abs(lagged - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind, grading", _LINEARIZATION_CASES)
@@ -431,8 +444,6 @@ def test_dirichlet_solve_rejects_non_finite_guess(bad):
 
 
 def test_newton_emits_one_log_line_per_step(caplog):
-    import logging
-
     cfg = small_cfg()
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
@@ -442,16 +453,14 @@ def test_newton_emits_one_log_line_per_step(caplog):
     assert len(steps) >= 2
     assert steps == records  # nothing else is logged inside the solve
     for line in steps:
-        assert re.fullmatch(r"newton iter=\d+ residual=\S+ damping=\S+ krylov=(\d+|exact)",
-                            line), line
-    assert "krylov=0" in steps[0]  # no step has reached the initial guess
+        assert re.fullmatch(r"newton iter=\d+ residual=\S+ damping=\S+ "
+                            r"step=(none|newton|lagged) krylov=(\d+|exact)", line), line
+    assert steps[0].endswith(" step=none krylov=0")  # no step has reached the initial guess
 
 
 def test_solve_skips_gmres_after_the_exact_fallback(monkeypatch, caplog):
     # every step of this strongly non-radial disk solve needs block
     # elimination; GMRES is tried on the first step only
-    import logging
-
     gmres, calls = sv._gmres, []
     monkeypatch.setattr(sv, "_gmres", lambda *a: calls.append(None) or gmres(*a))
     grid = sv.AnnulusGrid.disk(1.5, 17, 8)
@@ -460,6 +469,21 @@ def test_solve_skips_gmres_after_the_exact_fallback(monkeypatch, caplog):
     steps = [r.getMessage() for r in caplog.records if r.name == "nil3lab.solver"][1:]
     assert steps and all(line.endswith(" krylov=exact") for line in steps), steps
     assert len(calls) == 1
+    assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_stalled_newton_step_gives_way_to_the_lagged_step(caplog, seed):
+    # mode-3 data on a small disk from a slightly noisy default guess: the
+    # exact Newton steps stall, and these solves raise NewtonError unless a
+    # lagged-diffusivity step leads out of the stalled region
+    grid = sv.AnnulusGrid.disk(4.67, 33, 12)
+    outer = BoundaryData.cosine(1.16, mode=3)
+    u0 = sv._default_guess(grid, None, outer(grid.theta))
+    u0 += 0.01 * np.random.default_rng(seed).standard_normal(grid.shape)
+    with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
+        u = sv.dirichlet_solve(grid, None, outer, small_cfg(), u0=u0)
+    assert any(" step=lagged " in r.getMessage() for r in caplog.records)
     assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
 
 
@@ -540,23 +564,29 @@ def test_exterior_rejects_cauchy_window_without_nodes(monkeypatch, n_r, schedule
         sv.exterior_solve(0.5, 1.0, cfg)
 
 
-def _record_solves(monkeypatch):
+def _record_solves(monkeypatch, caplog):
     """Route Dirichlet solves through a recorder of (outer radius, outer data, Newton steps).
 
-    It also asserts that each Newton step linearizes once.
+    Newton steps are counted from the solver log.  The recorder also asserts
+    that each step linearizes once and makes one or two linear solves (the
+    second for the lagged step tried after a damped Newton step).
     """
-    solves, steps, linearizations = [], [], []
+    caplog.set_level(logging.INFO, logger="nil3lab.solver")
+    solves, linear_solves, linearizations = [], [], []
     solve, step, weights = sv.dirichlet_solve, sv._newton_step, sv._flux_weights
 
     def recording_solve(grid, inner, outer, cfg, u0=None):
-        before = len(steps), len(linearizations)
+        before = len(caplog.records), len(linear_solves), len(linearizations)
         u = solve(grid, inner, outer, cfg, u0=u0)
-        taken = len(steps) - before[0]
-        assert len(linearizations) - before[1] == taken
+        taken = sum(r.getMessage().startswith("newton iter=")
+                    for r in caplog.records[before[0]:]) - 1
+        assert taken <= len(linear_solves) - before[1] <= 2 * taken
+        assert len(linearizations) - before[2] == taken
         solves.append((float(grid.r[-1]), outer, taken))
         return u
 
-    monkeypatch.setattr(sv, "_newton_step", lambda *a, **k: steps.append(None) or step(*a, **k))
+    monkeypatch.setattr(sv, "_newton_step",
+                        lambda *a, **k: linear_solves.append(None) or step(*a, **k))
     monkeypatch.setattr(sv, "_flux_weights",
                         lambda *a: linearizations.append(None) or weights(*a))
     monkeypatch.setattr(sv, "dirichlet_solve", recording_solve)
@@ -568,9 +598,9 @@ def _record_solves(monkeypatch):
     pytest.param(1.0, [2, 2, 2, 2, 2], id="1.0"),
     pytest.param(2.0, [2, 3, 2, 2, 2, 2], id="2.0"),
 ])
-def test_exterior_outer_search_counters(monkeypatch, s, newton_steps):
+def test_exterior_outer_search_counters(monkeypatch, caplog, s, newton_steps):
     cfg = small_cfg()
-    solves = _record_solves(monkeypatch)
+    solves = _record_solves(monkeypatch, caplog)
     sol = sv.exterior_solve(s, 1.0, cfg)
     # the warm-started exterior solves converge in two or three exact Newton steps
     assert [steps for _, _, steps in solves] == newton_steps
@@ -588,8 +618,6 @@ def test_exterior_outer_search_counters(monkeypatch, s, newton_steps):
 def test_exterior_steps_take_one_krylov_iteration(caplog):
     # warm-started exterior states are radial, so the theta-averaged
     # preconditioner is the Newton system itself
-    import logging
-
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
         for s in (0.5, 1.0, 2.0):
             sv.exterior_solve(s, 1.0, small_cfg())
@@ -599,9 +627,9 @@ def test_exterior_steps_take_one_krylov_iteration(caplog):
     assert all(line.endswith(" krylov=1") for line in steps), steps
 
 
-def test_exterior_gives_up_below_the_cap(monkeypatch):
+def test_exterior_gives_up_below_the_cap(monkeypatch, caplog):
     cfg = small_cfg(schedule=(3.0,))
-    solves = _record_solves(monkeypatch)
+    solves = _record_solves(monkeypatch, caplog)
     # a gradient that grows with t but stays below s = 0.5 up to the cap
     # (about 1.08): every secant step overshoots the cap
     monkeypatch.setattr(sv, "boundary_gradient_sup", lambda u, grid: 0.1 * u[-1, 0])
@@ -669,9 +697,9 @@ def test_asymptotic_cosine_properties():
         sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(10.0, 6.0))
 
 
-def test_asymptotic_jacobian_counters(monkeypatch):
+def test_asymptotic_jacobian_counters(monkeypatch, caplog):
     # cold-started non-radial solves converge in four exact Newton steps
-    solves = _record_solves(monkeypatch)
+    solves = _record_solves(monkeypatch, caplog)
     sv.asymptotic_solve(BoundaryData.cosine(1.0), small_cfg(), radii=(6.0, 10.0, 14.0))
     assert [steps for _, _, steps in solves] == [4, 4, 4]
 
