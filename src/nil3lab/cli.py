@@ -200,6 +200,8 @@ def _cmd_export(args) -> int:
     if min(args.nu, args.nv) < 2:
         raise ValueError("--nu and --nv must be at least 2: a mesh needs two samples per direction")
     if args.surface == "tplane":
+        if not 0 < args.extent < math.inf:
+            raise ValueError(f"--extent={args.extent:g} must be finite and positive")
         sample = verify.slice_sample(extent=args.extent, n=args.nu)
     elif args.surface == "catenoid":
         sample = verify.catenoid_sample(

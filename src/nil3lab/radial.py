@@ -117,8 +117,8 @@ def catenoid_height(
     method="substituted").  method="plain" integrates the raw integrand and
     is only valid away from the minimal neck.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol={tol:g} must be finite and positive")
     c, t0 = params.c, params.t0
     if t < t0 - 1e-12:
         raise ValueError(f"profile radius t={t} below the neck t0={t0}")
@@ -393,8 +393,8 @@ def radial_mse_solve(
     """
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol={tol:g} must be finite and positive")
     if nodes is None:
         nodes = np.linspace(r_in, r_out, 513)
     nodes = np.asarray(nodes, dtype=float)

@@ -15,7 +15,7 @@ The rotational symmetry makes the linearization circulant in theta up to its
 theta-variation, so GMRES on those products is preconditioned by the stencil
 of the theta-averaged weights: one tridiagonal system in r per Fourier mode,
 exact for rotationally symmetric states.  When GMRES misses KRYLOV_RTOL in
-MAX_KRYLOV iterations, the stencil is factored by block elimination in r, and
+MAX_KRYLOV iterations, the stencil is solved by block elimination in r, and
 the later steps of that solve go straight to it.  A damped Newton step is
 compared with the lagged-diffusivity step (weights (1/W, 0), W frozen at the
 iterate), and the one with the lower merit is taken.  Each step logs one line
@@ -52,7 +52,7 @@ from .radial import (
     flux_height_difference,
     radial_mse_solve,
 )
-from .surface import BoundaryData, warp_g
+from .surface import warp_g
 
 logger = logging.getLogger("nil3lab.solver")
 
@@ -350,7 +350,7 @@ def cartesian_operator_residual(height, x: float, y: float, step: float = 1e-3) 
 def _boundary_values(data, theta: np.ndarray):
     if data is None:
         return None
-    if isinstance(data, BoundaryData) or callable(data):
+    if callable(data):
         return np.asarray(data(theta), dtype=float)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 0:
@@ -414,65 +414,42 @@ def _unit_stencil(grid: AnnulusGrid) -> np.ndarray:
     return unit
 
 
-def _newton_jacobian(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
-    """Exact Jacobian stencil of the solve residual, by the chain rule.
-
-    stencil[i, j, 1+di, 1+dj] is the derivative of residual (i, j) with
-    respect to u at (i+di, j+dj mod n_theta).
-    """
-    jac = _linearized(_flux_weights(u, grid), _unit_stencil(grid), grid)
-    return np.ascontiguousarray(jac.transpose(2, 3, 0, 1))
-
-
-def _block_factor(stencil: np.ndarray):
-    """Factor the stencil's linear system by block elimination in r.
+def _block_solve(stencil: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stencil's linear system for rhs by block elimination in r.
 
     Ring i couples only to rings i-1 and i+1, through periodic-tridiagonal
-    n_theta x n_theta blocks A_i, D_i, C_i.  Eliminating outward keeps the LU
-    factors of each pivot block D_i - A_i D_{i-1}^-1 C_{i-1}; only the
-    previous ring's gain D_{i-1}^-1 C_{i-1} is held during the pass.  Returns
-    solve(rhs), which does one forward and one backward sweep with those
-    factors and applies A_i and C_i straight from the stencil, so the factors
-    can be reused for many right-hand sides.  An exactly singular pivot block
-    raises LinAlgError.
+    n_theta x n_theta blocks A_i, D_i, C_i (window rows 0, 1, 2 of the
+    stencil, see `_shift`).  The forward sweep factors each pivot block
+    D_i - A_i G_{i-1} and solves it once for the gain and the partial
+    solution together, [G_i | y_i] from [C_i | rhs_i - A_i y_{i-1}]; the
+    backward sweep gives x_i = y_i - G_i x_{i+1}.  An exactly singular pivot
+    block raises LinAlgError.
     """
-    n1, m = stencil.shape[:2]
+    n1, m = rhs.shape
     rows = np.arange(m)[:, None]
     cols = (rows + np.arange(-1, 2)) % m  # angular neighbours j-1, j, j+1
 
-    def block(i, a):
+    def block(a, i):
         out = np.zeros((m, m))
-        out[rows, cols] = stencil[i, :, a]
+        out[rows, cols] = stencil[a, :, i].T
         return out
 
-    factors = []
-    gain = None
+    gains = np.empty((n1, m, m + 1))  # [G_i | y_i] per ring
     for i in range(n1):
-        diag = block(i, 1)
+        pivot = block(1, i)
+        right = np.column_stack([block(2, i), rhs[i]])
         if i > 0:
-            diag -= block(i, 0) @ gain
-        lu, piv, info = dgetrf(diag, overwrite_a=True)
+            coupled = block(0, i) @ gains[i - 1]
+            pivot -= coupled[:, :m]
+            right[:, m] -= coupled[:, m]
+        lu, piv, info = dgetrf(pivot, overwrite_a=True)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular pivot block at ring {i}")
-        factors.append((lu, piv))
-        if i < n1 - 1:
-            gain = dgetrs(lu, piv, block(i, 2))[0]
-
-    def couple(i, a, x):
-        # the a-th off-diagonal block of ring i applied to a neighbouring ring's x
-        return np.sum(stencil[i, :, a] * x[cols], axis=1)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x = np.empty((n1, m))
-        for i, (lu, piv) in enumerate(factors):
-            b = rhs[i] - couple(i, 0, x[i - 1]) if i > 0 else rhs[i]
-            x[i] = dgetrs(lu, piv, b)[0]
-        for i in range(n1 - 2, -1, -1):
-            lu, piv = factors[i]
-            x[i] -= dgetrs(lu, piv, couple(i, 2, x[i + 1]))[0]
-        return x
-
-    return solve
+        gains[i] = dgetrs(lu, piv, right)[0]
+    x = gains[:, :, m].copy()
+    for i in range(n1 - 2, -1, -1):
+        x[i] -= gains[i, :, :m] @ x[i + 1]
+    return x
 
 
 def _averaged_solver(column: np.ndarray, m: int):
@@ -560,8 +537,8 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
     stencil; for rotationally symmetric states that preconditioner is the
     system itself and one iteration suffices.  Without gmres, or when GMRES
     does not converge, gives a non-finite du or the averaged system is
-    singular, the full stencil is built from the same weights and factored
-    by `_block_factor`.  A singular factorization raises LinAlgError.
+    singular, the full stencil is built from the same weights and solved
+    by `_block_solve`.  A singular pivot block raises LinAlgError.
     """
     if gmres:
         mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face) for face in weights)
@@ -574,9 +551,7 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
             found = _gmres(lambda v: _linearized(weights, v, grid), precond, rhs)
             if found is not None:
                 return found
-    # the stencil in the layout of `_newton_jacobian`
-    stencil = _linearized(weights, _unit_stencil(grid), grid).transpose(2, 3, 0, 1)
-    return _block_factor(stencil)(rhs), "exact"
+    return _block_solve(_linearized(weights, _unit_stencil(grid), grid), rhs), "exact"
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:

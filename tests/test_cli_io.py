@@ -198,6 +198,8 @@ def test_cli_exterior_non_finite_s_is_usage_error(s, capsys):
         ["asymptotic", "--schedule", "8,inf", "--n-r", "33", "--n-theta", "16"],
         ["catenoid", "--c", "nan", "--t0", "1"],
         ["verify", "--tol", "nan"],
+        ["catenoid", "--c", "3", "--t0", "1", "--tol", "nan"],
+        ["catenoid", "--c", "3", "--t0", "1", "--tol", "inf"],
         ["barrier", "--step", "0"],
         ["barrier", "--step", "-0.1"],
         ["barrier", "--step", "nan"],
@@ -208,7 +210,8 @@ def test_cli_exterior_non_finite_s_is_usage_error(s, capsys):
         ["geodesic", "--t", "nan"],
         ["geodesic", "--theta", "nan"],
     ],
-    ids=["asymptotic-schedule", "catenoid-c", "verify-tol", "barrier-step-zero",
+    ids=["asymptotic-schedule", "catenoid-c", "verify-tol", "catenoid-tol-nan",
+         "catenoid-tol-inf", "barrier-step-zero",
          "barrier-step-negative", "barrier-step-nan", "barrier-rmax-zero", "barrier-rmax-inf",
          "curvature-r-nan", "curvature-r-inf", "geodesic-t-nan", "geodesic-theta-nan"],
 )
@@ -224,13 +227,18 @@ def test_cli_non_finite_input_is_usage_error(argv, capsys):
         (["catenoid", "--c", "3", "--t0", "1", "--samples", "1"], "--samples"),
         (["catenoid", "--c", "3", "--t0", "1", "--tmax", "0.5"], "--tmax"),
         (["export", "--surface", "catenoid", "--tmax", "0.5"], "--tmax"),
+        (["export", "--extent", "nan"], "--extent"),
+        (["export", "--extent", "inf"], "--extent"),
+        (["export", "--extent", "0"], "--extent"),
     ],
     ids=["barrier-step-above-rmax", "catenoid-one-sample", "catenoid-tmax-below-neck",
-         "export-tmax-below-neck"],
+         "export-tmax-below-neck", "export-extent-nan", "export-extent-inf",
+         "export-extent-zero"],
 )
 def test_cli_names_the_flag_at_fault(argv, flag, capsys):
     # the helper's own message ("profile needs at least two nodes", "profile
-    # radius t=... below the neck") names no flag
+    # radius t=... below the neck") names no flag; a non-finite or zero
+    # --extent gave a mesh of NaN vertices or of the origin alone, and exit 0
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and flag in err

@@ -238,6 +238,18 @@ def test_radial_mse_solve_argument_validation():
         rd.radial_mse_solve(4.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_quadrature_tolerance_must_be_finite_and_positive(tol):
+    # a NaN tol fails every accuracy check with a misleading QuadratureError,
+    # and an infinite one switches the check off: radial_mse_solve(1, 3, 0, 50)
+    # then returned a profile ending at 1.549 instead of raising
+    # NoAdmissibleFluxError
+    with pytest.raises(ValueError, match="tol"):
+        rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rd.radial_mse_solve(1.0, 3.0, 0.0, 50.0, tol=tol)
+
+
 def test_radial_profile_validation():
     with pytest.raises(ValueError):
         rd.RadialProfile(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2))

@@ -187,9 +187,14 @@ def test_cartesian_chart_cross_validation():
 # ---------------------------------------------------------------- linearization
 
 
+def _jacobian(u, grid):
+    """Exact Jacobian stencil of the solve residual at u, window axes first."""
+    return sv._linearized(sv._flux_weights(u, grid), sv._unit_stencil(grid), grid)
+
+
 def _stencil_matrix(stencil):
-    """CSR matrix of a Jacobian stencil: row (i, j), column (i+di, j+dj mod n_theta)."""
-    n1, m = stencil.shape[:2]
+    """CSR matrix of a window-first stencil: row (i, j), column (i+di, j+dj mod n_theta)."""
+    n1, m = stencil.shape[2:]
     node = np.arange(n1 * m).reshape(n1, m)
     i, j = np.meshgrid(np.arange(n1), np.arange(m), indexing="ij")
     rows, cols, vals = [], [], []
@@ -198,7 +203,7 @@ def _stencil_matrix(stencil):
         for dj in (-1, 0, 1):
             rows.append(node[ok])
             cols.append(node[(i + di)[ok], ((j + dj) % m)[ok]])
-            vals.append(stencil[:, :, 1 + di, 1 + dj][ok])
+            vals.append(stencil[1 + di, 1 + dj][ok])
     return sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n1 * m, n1 * m),
@@ -223,8 +228,8 @@ def _linearization_state(kind, n_theta, grading):
 def _check_against_sparse_oracle(make_solver, kind, n_theta):
     # make_solver(u, grid) solves the Newton system at u for a right-hand side
     grid, _, _, u, _ = _linearization_state(kind, n_theta, grading=2.0)
-    stencil = sv._newton_jacobian(u, grid)
-    assert stencil.shape == grid.shape + (3, 3)
+    stencil = _jacobian(u, grid)
+    assert stencil.shape == (3, 3) + grid.shape
     matrix = _stencil_matrix(stencil)
     solve = make_solver(u, grid)
     for rhs in np.random.default_rng(4).standard_normal((2,) + grid.shape):
@@ -236,10 +241,41 @@ def _check_against_sparse_oracle(make_solver, kind, n_theta):
 @pytest.mark.parametrize("n_theta", [8, 10, 16])
 def test_block_solve_matches_sparse_oracle(kind, n_theta):
     # at n_theta = 8 the periodic wrap couples j = 0 and j = 7 in every block
-    # one factorization serves both right-hand sides
     _check_against_sparse_oracle(
-        lambda u, grid: sv._block_factor(sv._newton_jacobian(u, grid)), kind, n_theta
+        lambda u, grid: lambda rhs: sv._block_solve(_jacobian(u, grid), rhs), kind, n_theta
     )
+
+
+def _dominant_stencil(n_r, n_theta, seed):
+    """Random theta-varying window-first stencil, strictly diagonally dominant by rows."""
+    rng = np.random.default_rng(seed)
+    stencil = rng.uniform(-1.0, 1.0, (3, 3, n_r, n_theta))
+    off = np.abs(stencil).sum(axis=(0, 1)) - np.abs(stencil[1, 1])
+    sign = rng.choice([-1.0, 1.0], (n_r, n_theta))
+    stencil[1, 1] = sign * (1.0 + off + rng.uniform(0.0, 1.0, (n_r, n_theta)))
+    return stencil
+
+
+@settings(max_examples=60)
+@given(n_r=st.integers(5, 20), n_theta=st.integers(8, 16), seed=st.integers(0, 2**32 - 1))
+def test_block_solve_matches_sparse_oracle_on_random_stencils(n_r, n_theta, seed):
+    # stencils that no face weights produce: every window entry varies with
+    # theta, the corner entries couple j = 0 and j = n_theta - 1 across the
+    # wrap, and the entries pointing past the first and last ring are set
+    # (the system has no such unknowns, so both sides ignore them)
+    stencil = _dominant_stencil(n_r, n_theta, seed)
+    rhs = np.random.default_rng(seed + 1).standard_normal((n_r, n_theta))
+    ref = spsolve(_stencil_matrix(stencil), rhs.ravel()).reshape(rhs.shape)
+    x = sv._block_solve(stencil, rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_block_solve_zero_pivot_block_raises():
+    # ring 4 has an all-zero row of blocks, so its pivot block is zero
+    stencil = _dominant_stencil(9, 8, 0)
+    stencil[:, :, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="ring 4"):
+        sv._block_solve(stencil, np.ones((9, 8)))
 
 
 @pytest.mark.parametrize("kind", ["annulus", "disk"])
@@ -261,7 +297,7 @@ def test_strongly_non_radial_state_takes_the_exact_fallback():
     # block elimination solves the step
     grid = sv.AnnulusGrid.disk(2.0, 17, 8)
     u = sv._default_guess(grid, None, BoundaryData.cosine(3.0, mode=3)(grid.theta))
-    matrix = _stencil_matrix(sv._newton_jacobian(u, grid))
+    matrix = _stencil_matrix(_jacobian(u, grid))
     for seed in (7, 8):
         rhs = np.random.default_rng(seed).standard_normal(grid.shape)
         x, krylov = sv._newton_step(sv._flux_weights(u, grid), rhs, grid)
@@ -282,7 +318,7 @@ def test_matrix_free_product_matches_stencil(kind, grading):
     grid, _, _, u, _ = _linearization_state(kind, 16, grading=grading)
     v = np.random.default_rng(6).standard_normal(grid.shape)
     jv = sv._linearized(sv._flux_weights(u, grid), v, grid)
-    ref = (_stencil_matrix(sv._newton_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
+    ref = (_stencil_matrix(_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
     assert np.max(np.abs(jv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -293,8 +329,8 @@ def test_averaged_weights_give_the_averaged_stencil(kind, grading):
     mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face)
                  for face in sv._flux_weights(u, grid))
     column = sv._linearized(mean, sv._unit_stencil(grid), grid)[..., 0]
-    averaged = sv._newton_jacobian(u, grid).mean(axis=1)
-    err = np.max(np.abs(column.transpose(2, 0, 1) - averaged))
+    averaged = _jacobian(u, grid).mean(axis=3)
+    err = np.max(np.abs(column - averaged))
     assert err <= 1e-14 * np.max(np.abs(averaged))
 
 
@@ -317,7 +353,7 @@ def test_jacobian_taylor_remainder(kind, grading):
     th = grid.theta[None, :]
     v = np.sin(math.pi * xi) * (1.0 + np.cos(th) + 0.5 * np.sin(3.0 * th))
     res = sv._solve_residual(u, grid, inner_vals, outer_vals)
-    jv = (_stencil_matrix(sv._newton_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
+    jv = (_stencil_matrix(_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
     remainders = [
         np.max(np.abs(sv._solve_residual(u + eps * v, grid, inner_vals, outer_vals)
                       - res - eps * jv))
@@ -347,7 +383,7 @@ def test_jacobian_matches_dense_central_differences(kind):
          - sv._solve_residual(u - e, grid, inner_vals, outer_vals)).ravel() / (2 * h)
         for e in h * np.eye(u.size).reshape((-1,) + grid.shape)
     ]).T
-    jac = _stencil_matrix(sv._newton_jacobian(u, grid)).toarray()
+    jac = _stencil_matrix(_jacobian(u, grid)).toarray()
     assert np.max(np.abs(jac - dense)) <= 1e-6 * np.max(np.abs(dense))
 
 
