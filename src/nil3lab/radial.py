@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .surface import geodesic_circle_curvature, warp_g
 
@@ -96,6 +94,12 @@ def _quartic(s: float, c: float) -> float:
 
 
 def _quad_checked(fn, lo, hi, tol, ctx="quadrature"):
+    if not 0 < tol < math.inf:
+        raise ValueError(f"{ctx}: tol must be finite and positive")
+    # imported here, not at module level: the PDE solves never integrate, and
+    # scipy.integrate roughly doubles the start-up of `import nil3lab`
+    from scipy.integrate import quad
+
     rel = 1e-13
     val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=rel, limit=300)
     # quad stops once either of its targets is met, so the estimate is
@@ -117,8 +121,6 @@ def catenoid_height(
     method="substituted").  method="plain" integrates the raw integrand and
     is only valid away from the minimal neck.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol={tol:g} must be finite and positive")
     c, t0 = params.c, params.t0
     if t < t0 - 1e-12:
         raise ValueError(f"profile radius t={t} below the neck t0={t0}")
@@ -415,6 +417,8 @@ def radial_mse_solve(
                 raise NoAdmissibleFluxError(target, attain)
             c_star = g_in
         else:
+            from scipy.optimize import brentq
+
             fun = lambda c: flux_height_difference(c, r_in, r_out, quad_tol) - target
             c_star = brentq(fun, 0.0, g_in, xtol=1e-15, rtol=8.9e-16)
         c_star = math.copysign(c_star, delta)

@@ -17,7 +17,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .nilcore import (
     ChartPoint,
@@ -194,8 +193,13 @@ def geodesic_circle_curvature(r):
 def orbit_circumference(r: float, tol: float = 1e-12) -> float:
     """Length of the circle-action orbit through radius r, by quadrature.
 
-    Numeric oracle for the warp: the value equals 2*pi*g(r).
+    Numeric oracle for the warp: the value equals 2*pi*g(r).  tol is the
+    absolute accuracy asked of the quadrature; QuadratureError is raised when
+    it is below the float spacing of the length (r above about 60 at the
+    default tol).
     """
+    from .radial import _quad_checked  # radial imports this module
+
     if r < 0:
         raise ValueError("orbit radius must be nonnegative")
     rho = r / SQRT2
@@ -205,8 +209,7 @@ def orbit_circumference(r: float, tol: float = 1e-12) -> float:
         tang = np.array([-rho * math.sin(phi), rho * math.cos(phi), 0.0])
         return math.sqrt(metric_closed_form(p).inner(tang, tang))
 
-    val, _ = quad(speed, 0.0, 2.0 * math.pi, epsabs=tol, epsrel=tol, limit=200)
-    return val
+    return _quad_checked(speed, 0.0, 2.0 * math.pi, tol, "orbit circumference")
 
 
 def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4) -> float:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .nilcore import (
     ChartPoint,
@@ -139,6 +138,8 @@ def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
     by sqrt(2); the angular direction is padded periodically so the spline
     interpolant is smooth across the seam.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     u = np.asarray(u, dtype=float)
     r = grid.r
     theta = grid.theta

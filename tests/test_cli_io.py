@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +322,33 @@ def test_cli_usage_errors():
 def test_cli_solver_failure_exit_code(capsys):
     # catenoid with an inadmissible neck is a usage error (ValueError -> 2)
     assert main(["catenoid", "--c", "3", "--t0", "0.2"]) == 2
+
+
+_IMPORT_PROBE = """
+import json, sys
+lazy = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
+loaded = lambda: json.dumps([m for m in lazy if m in sys.modules])
+import nil3lab, nil3lab.cli
+from nil3lab import radial, solver, surface
+print(loaded())
+solver.asymptotic_solve(surface.BoundaryData.cosine(1.0),
+                        solver.SolverConfig(n_r=33, n_theta=16), radii=(8.0,))
+print(loaded())
+radial.barrier_f(radial.BarrierParams(1.0, 1.0), 2.0)
+print(loaded())
+"""
+
+
+def test_import_loads_quadrature_root_finder_and_spline_on_first_use():
+    # a counter gate on the import set, never on seconds: the three scipy
+    # modules cost about as much start-up as numpy and scipy.linalg together,
+    # and neither `import nil3lab` nor a disk solve uses them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    after_import, after_solve, after_barrier = map(json.loads, out.splitlines())
+    assert after_import == []
+    assert after_solve == []
+    # scipy.integrate pulls in scipy.optimize itself
+    assert "scipy.integrate" in after_barrier

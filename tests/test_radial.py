@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nil3lab import radial as rd
-from nil3lab.surface import warp_g
+from nil3lab.surface import orbit_circumference, warp_g
 
 SQRT2 = math.sqrt(2.0)
 
@@ -248,6 +248,14 @@ def test_quadrature_tolerance_must_be_finite_and_positive(tol):
         rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 2.0, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         rd.radial_mse_solve(1.0, 3.0, 0.0, 50.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rd.flux_height_difference(1.0, 1.0, 3.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rd.barrier_f(rd.BarrierParams(1.0, 1.0), 10.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rd.barrier_profile(rd.BarrierParams(1.0, 1.0), [0.0, 1.0, 2.0], tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        orbit_circumference(2.0, tol=tol)
 
 
 def test_radial_profile_validation():
