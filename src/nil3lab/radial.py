@@ -102,10 +102,16 @@ def _quad_checked(fn, lo, hi, tol, ctx="quadrature"):
 
     rel = 1e-13
     val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=rel, limit=300)
+    # a tol finer than the float spacing at the value is unreachable whatever
+    # the estimate says
+    if math.isfinite(val) and tol < math.ulp(val):
+        raise QuadratureError(
+            f"{ctx}: tol {tol:.3g} is below the float spacing {math.ulp(val):.3g} "
+            f"of the value {val:.6g}"
+        )
     # quad stops once either of its targets is met, so the estimate is
-    # accepted against either bound; a tol finer than the float spacing at
-    # the value is unreachable whatever the estimate says
-    if not err <= max(tol, rel * abs(val)) or tol < math.ulp(val):
+    # accepted against either bound
+    if not err <= max(tol, rel * abs(val)):
         raise QuadratureError(f"{ctx}: error estimate {err:.3g} above tol {tol:.3g}")
     return val
 

@@ -7,14 +7,21 @@ on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
 Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
-differences of u (`_face_slopes`).  Nonlinear solves use Newton damped by
-Armijo-style halving.  Each step linearizes at its iterate: the chain rule
-gives face weights (`_flux_weights`), which one map (`_linearized`) turns
-into Jacobian-vector products or, on the unit stencil, the 9-point stencil.
-The rotational symmetry makes the linearization circulant in theta up to its
-theta-variation, so GMRES on those products is preconditioned by the stencil
-of the theta-averaged weights: one tridiagonal system in r per Fourier mode,
-exact for rotationally symmetric states.  When GMRES misses KRYLOV_RTOL in
+differences of u (`_face_slopes`).  Nonlinear solves use inexact Newton
+damped by Armijo-style halving.  Each step linearizes at its iterate: the
+chain rule gives face weights (`_flux_weights`), which one map
+(`_linearized`) turns into Jacobian-vector products or, on the unit
+stencil, the 9-point stencil.  The rotational symmetry makes the
+linearization circulant in theta up to its theta-variation, so GMRES on
+those products is preconditioned by the stencil of the theta-averaged
+weights: one tridiagonal system in r per Fourier mode, exact for
+rotationally symmetric states.  GMRES stops once the preconditioned
+residual has fallen by the forcing term eta = max(KRYLOV_RTOL, min(0.1, |F|)),
+|F| the sup-norm residual of the iterate: a forcing term of the order of |F|
+keeps the local quadratic convergence of Newton (Dembo, Eisenstat and
+Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408), so the early steps take
+one or two iterations and only the last ones solve to KRYLOV_RTOL.  A solve
+still stops only when |F| <= newton_tol.  When GMRES misses eta in
 MAX_KRYLOV iterations, the stencil is solved by block elimination in r, and
 the later steps of that solve go straight to it.  A damped Newton step is
 compared with the lagged-diffusivity step (weights (1/W, 0), W frozen at the
@@ -58,8 +65,9 @@ logger = logging.getLogger("nil3lab.solver")
 
 # Dirichlet solves the exterior outer-value search spends on one m at most
 MAX_OUTER_EVALS = 30
-# GMRES iterations a Newton step may take, and the factor by which they must
-# cut the preconditioned residual, before exact block elimination takes over
+# GMRES iterations a Newton step may take before exact block elimination takes
+# over, and the smallest factor by which they are asked to cut the
+# preconditioned residual (the floor of the forcing term in `dirichlet_solve`)
 MAX_KRYLOV = 20
 KRYLOV_RTOL = 1e-12
 
@@ -482,11 +490,11 @@ def _averaged_solver(column: np.ndarray, m: int):
     return solve
 
 
-def _gmres(apply, precond, rhs: np.ndarray):
+def _gmres(apply, precond, rhs: np.ndarray, rtol: float):
     """Left-preconditioned GMRES from x = 0 for apply(x) = rhs.
 
     Returns (x, iterations) once the preconditioned residual has fallen by
-    KRYLOV_RTOL, or None when that takes more than MAX_KRYLOV iterations,
+    the factor rtol, or None when that takes more than MAX_KRYLOV iterations,
     gives a non-finite x, or the preconditioned rhs is zero or not finite (a
     Newton step never asks for a zero rhs).  Givens rotations keep the
     Hessenberg matrix triangular, so the residual norm is known at every
@@ -521,22 +529,24 @@ def _gmres(apply, precond, rhs: np.ndarray):
         col[k] = rho
         tri[: k + 1, k] = col[: k + 1]
         g[k:] = [c * g[k], -s * g[k]]
-        if abs(g[-1]) <= KRYLOV_RTOL * beta:
+        if abs(g[-1]) <= rtol * beta:
             y = np.linalg.solve(tri[: k + 1, : k + 1], g[:-1])
             x = (y @ done).reshape(rhs.shape)
             return (x, k + 1) if np.all(np.isfinite(x)) else None
     return None
 
 
-def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True):
+def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True,
+                 rtol: float = KRYLOV_RTOL):
     """Solve J du = rhs, J linearized at the face weights: (du, GMRES iterations or "exact").
 
-    With gmres, `_gmres` runs on the matrix-free products of `_linearized`,
-    preconditioned by `_averaged_solver` on the stencil of the
-    theta-averaged face weights, which is the theta-average of the full
-    stencil; for rotationally symmetric states that preconditioner is the
-    system itself and one iteration suffices.  Without gmres, or when GMRES
-    does not converge, gives a non-finite du or the averaged system is
+    With gmres, `_gmres` runs on the matrix-free products of `_linearized`
+    until the preconditioned residual has fallen by rtol, preconditioned by
+    `_averaged_solver` on the stencil of the theta-averaged face weights,
+    which is the theta-average of the full stencil; for rotationally
+    symmetric states that preconditioner is the system itself and one
+    iteration suffices.  Without gmres, or when GMRES does not reach rtol in
+    MAX_KRYLOV iterations, gives a non-finite du or the averaged system is
     singular, the full stencil is built from the same weights and solved
     by `_block_solve`.  A singular pivot block raises LinAlgError.
     """
@@ -548,7 +558,7 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
         except np.linalg.LinAlgError:
             pass
         else:
-            found = _gmres(lambda v: _linearized(weights, v, grid), precond, rhs)
+            found = _gmres(lambda v: _linearized(weights, v, grid), precond, rhs, rtol)
             if found is not None:
                 return found
     return _block_solve(_linearized(weights, _unit_stencil(grid), grid), rhs), "exact"
@@ -582,18 +592,19 @@ def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
 
 
 def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None) -> np.ndarray:
-    """Damped-Newton solve of the discrete graph equation with pinned boundary rows.
+    """Damped inexact-Newton solve of the discrete graph equation with pinned boundary rows.
 
     inner may be None only on zero-flux-inner grids.  Terminates when the
-    sup-norm of the residual drops below cfg.newton_tol.  Each step is
-    solved by `_newton_step` at the current iterate; when the line search
-    damps or rejects it, the lagged-diffusivity step is solved too and the
-    step with the lower merit is taken.  After the first linear solve that
-    takes the exact fallback, the later ones skip GMRES.  Raises
-    NewtonError (carrying the last residual) when a step is singular or
-    stagnates, or after cfg.max_newton steps.  A trial state whose residual
-    overflows is rejected by the line search, and an initial guess whose
-    residual overflows raises ValueError.
+    sup-norm |F| of the residual drops below cfg.newton_tol.  Each step is
+    solved by `_newton_step` at the current iterate, its GMRES only to the
+    forcing term eta = max(KRYLOV_RTOL, min(0.1, |F|)); when the line
+    search damps or rejects it, the lagged-diffusivity step is solved too,
+    to the same eta, and the step with the lower merit is taken.  After the
+    first linear solve that takes the exact fallback, the later ones skip
+    GMRES.  Raises NewtonError (carrying the last residual) when a step is
+    singular or stagnates, or after cfg.max_newton steps.  A trial state
+    whose residual overflows is rejected by the line search, and an initial
+    guess whose residual overflows raises ValueError.
     """
     inner_vals = _boundary_values(inner, grid.theta)
     outer_vals = _boundary_values(outer, grid.theta)
@@ -663,13 +674,15 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         if rnorm <= cfg.newton_tol:
             return u
         m0, best = merit(res), None
+        # inexact Newton: each linear solve only as tight as the residual is small
+        eta = max(KRYLOV_RTOL, min(0.1, rnorm))
         # a Newton step that the line search damps or rejects is compared with
         # the lagged-diffusivity step from the same iterate, and the step with
-        # the lower merit is taken: the exact direction can stall where the
+        # the lower merit is taken: the Newton direction can stall where the
         # lagged one still makes progress
         for name, weights_at in (("newton", _flux_weights), ("lagged", _lagged_weights)):
             try:
-                du, k = _newton_step(weights_at(u, grid), -res, grid, gmres)
+                du, k = _newton_step(weights_at(u, grid), -res, grid, gmres, eta)
             except np.linalg.LinAlgError:
                 raise NewtonError("singular linearization in Newton step", rnorm) from None
             if not np.all(np.isfinite(du)):

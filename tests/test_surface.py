@@ -204,6 +204,16 @@ def test_warp_against_orbit_length():
     assert abs(sf.orbit_circumference(r) / (2 * math.pi * r) - 1.0) <= 1e-6
 
 
+def test_orbit_length_below_float_spacing_names_the_spacing():
+    # 1e-12 is below the spacing of doubles near 2 pi g(100) = 22223.5, so
+    # no error estimate can meet it; the message names that spacing
+    from nil3lab.radial import QuadratureError
+
+    spacing = math.ulp(2 * math.pi * sf.warp_g(100.0))
+    with pytest.raises(QuadratureError, match=f"below the float spacing {spacing:.3g} "):
+        sf.orbit_circumference(100.0)
+
+
 def test_orbit_is_distance_sphere():
     for r in (0.5, 2.0, 9.0):
         for phi in np.linspace(0, 2 * math.pi, 12, endpoint=False):
