@@ -202,7 +202,7 @@ def _cmd_export(args) -> int:
     if args.surface == "tplane":
         if not 0 < args.extent < math.inf:
             raise ValueError(f"--extent={args.extent:g} must be finite and positive")
-        sample = verify.slice_sample(extent=args.extent, n=args.nu)
+        sample = verify.slice_sample(extent=args.extent, n=args.nu, n_v=args.nv)
     elif args.surface == "catenoid":
         sample = verify.catenoid_sample(
             _catenoid_params(args), args.tmax, n_t=args.nu, n_theta=args.nv
@@ -211,8 +211,6 @@ def _cmd_export(args) -> int:
         raise ValueError(f"unknown surface {args.surface!r}")
     fmt = "ply" if args.ply else "obj"
     path = args.ply or args.obj
-    if not path:
-        raise ValueError("one of --obj/--ply is required")
     meshio.export_mesh(sample, path, fmt=fmt)
     print(f"wrote {path}")
     return 0
@@ -286,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=float, default=3.0)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--tmax", type=float, default=6.0)
-    p.add_argument("--obj", type=str, default=None)
-    p.add_argument("--ply", type=str, default=None)
+    out = p.add_mutually_exclusive_group(required=True)
+    out.add_argument("--obj", type=str, default=None)
+    out.add_argument("--ply", type=str, default=None)
     p.set_defaults(func=_cmd_export)
 
     return top

@@ -21,6 +21,8 @@ __all__ = [
     "read_csv",
 ]
 
+_HEADER = "nil3lab surface mesh, matrix coordinates (x, y, z entries)"
+
 
 class MeshValidationError(ValueError):
     pass
@@ -29,50 +31,53 @@ class MeshValidationError(ValueError):
 def surface_mesh(sample) -> tuple[np.ndarray, np.ndarray]:
     """Triangulate a SurfaceSample over its parameter grid, in matrix coordinates.
 
-    A periodic v-direction is closed by identifying the seam vertices, so the
-    vertex count is n_u * n_v instead of n_u * (n_v + 1).
+    Vertex i * n_v + j is the sample at (u_i, v_j).  Each grid quad gives the
+    faces (v00, v10, v11), (v00, v11, v01) in row-major order.  A periodic
+    v-direction is closed by identifying the seam vertices, so the vertex
+    count is n_u * n_v instead of n_u * (n_v + 1).
     """
     ugrid = np.asarray(sample.u_grid, dtype=float)
     vgrid = np.asarray(sample.v_grid, dtype=float)
     n_u, n_v = len(ugrid), len(vgrid)
-    verts = np.empty((n_u * n_v, 3))
-    for i, uu in enumerate(ugrid):
-        for j, vv in enumerate(vgrid):
-            x, y, zeta = sample.chart_map(uu, vv)
-            verts[i * n_v + j] = (x, y, x * y / 2.0 + zeta)
+    verts = np.array([sample.chart_map(uu, vv) for uu in ugrid for vv in vgrid],
+                     dtype=float).reshape(n_u * n_v, 3)
+    verts[:, 2] += verts[:, 0] * verts[:, 1] / 2.0
 
-    faces = []
     v_pairs = n_v if sample.periodic_v else n_v - 1
-    for i in range(n_u - 1):
-        for j in range(v_pairs):
-            jn = (j + 1) % n_v
-            v00 = i * n_v + j
-            v10 = (i + 1) * n_v + j
-            v11 = (i + 1) * n_v + jn
-            v01 = i * n_v + jn
-            faces.append((v00, v10, v11))
-            faces.append((v00, v11, v01))
-    return verts, np.asarray(faces, dtype=int)
+    i = np.arange(n_u - 1)[:, None]
+    j = np.arange(v_pairs)[None, :]
+    v00 = i * n_v + j
+    v01 = i * n_v + (j + 1) % n_v
+    v10, v11 = v00 + n_v, v01 + n_v
+    faces = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    return verts, faces
 
 
 def check_mesh(vertices: np.ndarray, faces: np.ndarray) -> None:
-    """Raise unless indices are in range and shared edges are consistently oriented."""
-    vertices = np.asarray(vertices)
-    faces = np.asarray(faces)
-    if faces.size and (faces.min() < 0 or faces.max() >= len(vertices)):
+    """Raise unless indices are in range, no face is degenerate and no directed
+    edge occurs twice.
+
+    In a consistently oriented mesh every shared edge is traversed once in
+    each direction, so a directed edge seen twice marks a flipped (or a
+    repeated) face.
+    """
+    n = len(vertices)
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if faces.size and (faces.min() < 0 or faces.max() >= n):
         raise MeshValidationError("face index out of range")
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in faces:
-        a, b, c = (int(v) for v in tri)
-        if a == b or b == c or a == c:
-            raise MeshValidationError(f"degenerate face {tri}")
-        for e in ((a, b), (b, c), (c, a)):
-            edge_count[e] = edge_count.get(e, 0) + 1
-    for (a, b), n in edge_count.items():
-        if n > 1:
-            raise MeshValidationError(f"edge ({a},{b}) traversed twice in the same direction")
-        if edge_count.get((b, a), 0) > 1:
-            raise MeshValidationError(f"edge ({b},{a}) traversed twice")
+    a, b, c = faces.T
+    degenerate = (a == b) | (b == c) | (a == c)
+    if degenerate.any():
+        raise MeshValidationError(f"degenerate face {faces[np.argmax(degenerate)]}")
+    keys, counts = np.unique(faces * n + np.roll(faces, -1, axis=1), return_counts=True)
+    if (counts > 1).any():
+        a, b = divmod(int(keys[np.argmax(counts > 1)]), n)
+        raise MeshValidationError(f"edge ({a},{b}) traversed twice in the same direction")
+
+
+def _rows(template: str, table: np.ndarray) -> str:
+    """The template filled in from each table row in turn, one line per row."""
+    return ((template + "\n") * len(table)).format(*table.ravel().tolist())
 
 
 def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
@@ -82,49 +87,27 @@ def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
     order); it lands in a PLY "quality" property or, for OBJ, in the common
     vertex-color extension slots.
     """
+    if fmt not in ("obj", "ply"):
+        raise ValueError(f"unknown mesh format {fmt!r} (expected 'obj' or 'ply')")
     verts, faces = surface_mesh(sample)
     check_mesh(verts, faces)
+    table = verts
     if scalar is not None:
         scalar = np.asarray(scalar, dtype=float).ravel()
         if len(scalar) != len(verts):
             raise ValueError("per-vertex scalar length does not match the mesh")
+        table = np.column_stack([verts] + [scalar] * (3 if fmt == "obj" else 1))
     if fmt == "obj":
-        lines = ["# nil3lab surface mesh, matrix coordinates (x, y, z entries)"]
-        for k, v in enumerate(verts):
-            if scalar is None:
-                lines.append(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}")
-            else:
-                s = scalar[k]
-                lines.append(
-                    f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g} {s:.17g} {s:.17g} {s:.17g}"
-                )
-        for f in faces:
-            lines.append(f"f {f[0] + 1} {f[1] + 1} {f[2] + 1}")
-    elif fmt == "ply":
-        header = [
-            "ply",
-            "format ascii 1.0",
-            "comment nil3lab surface mesh, matrix coordinates (x, y, z entries)",
-            f"element vertex {len(verts)}",
-            "property float x",
-            "property float y",
-            "property float z",
-        ]
-        if scalar is not None:
-            header.append("property float quality")
-        header += [f"element face {len(faces)}", "property list uchar int vertex_indices", "end_header"]
-        lines = header
-        for k, v in enumerate(verts):
-            row = f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}"
-            if scalar is not None:
-                row += f" {scalar[k]:.17g}"
-            lines.append(row)
-        for f in faces:
-            lines.append(f"3 {f[0]} {f[1]} {f[2]}")
+        header, vert_row, face_row, faces = [f"# {_HEADER}"], "v ", "f {} {} {}", faces + 1
     else:
-        raise ValueError(f"unknown mesh format {fmt!r} (expected 'obj' or 'ply')")
+        props = ["x", "y", "z"] + (["quality"] if scalar is not None else [])
+        header = ["ply", "format ascii 1.0", f"comment {_HEADER}", f"element vertex {len(verts)}"]
+        header += [f"property float {name}" for name in props]
+        header += [f"element face {len(faces)}", "property list uchar int vertex_indices", "end_header"]
+        vert_row, face_row = "", "3 {} {} {}"
+    vert_row += " ".join(["{:.17g}"] * table.shape[1])
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n" + _rows(vert_row, table) + _rows(face_row, faces))
 
 
 def export_csv(data, path) -> None:
@@ -133,20 +116,26 @@ def export_csv(data, path) -> None:
         columns = {"r": data.r, "f": data.value, "fprime": data.deriv}
     else:
         columns = {k: np.asarray(v, dtype=float) for k, v in data.items()}
-    names = list(columns)
-    n = len(columns[names[0]])
-    for name in names:
-        if len(columns[name]) != n:
-            raise ValueError("CSV columns must share a length")
+    if not columns:
+        raise ValueError("CSV export has no columns: the mapping is empty")
+    if len({len(col) for col in columns.values()}) > 1:
+        raise ValueError("CSV columns must share a length")
+    table = np.column_stack(list(columns.values()))
     with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for k in range(n):
-            fh.write(",".join(f"{columns[name][k]:.17g}" for name in names) + "\n")
+        fh.write(",".join(columns) + "\n" + _rows(",".join(["{:.17g}"] * len(columns)), table))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:
     with open(path) as fh:
         names = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    cols = {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(names)}
-    return cols
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = line.strip().split(",")
+            if len(row) != len(names):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(row)} fields, the header names {len(names)}"
+                )
+            rows.append(row)
+    return {name: np.array([float(row[i]) for row in rows]) for i, name in enumerate(names)}

@@ -161,10 +161,11 @@ def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
     return SurfaceSample(chart_map, r.copy(), theta.copy(), fd_step=1e-4, periodic_v=True)
 
 
-def slice_sample(extent: float = 3.0, n: int = 10) -> SurfaceSample:
-    """The flat slice zeta = 0 over a square parameter patch."""
+def slice_sample(extent: float = 3.0, n: int = 10, n_v: int | None = None) -> SurfaceSample:
+    """The flat slice zeta = 0 over [-extent, extent]^2, n samples in u and n_v (default n) in v."""
     grid = np.linspace(-extent, extent, n)
-    return SurfaceSample(lambda uu, vv: (uu, vv, 0.0), grid, grid.copy())
+    v_grid = np.linspace(-extent, extent, n if n_v is None else n_v)
+    return SurfaceSample(lambda uu, vv: (uu, vv, 0.0), grid, v_grid)
 
 
 def catenoid_sample(

@@ -41,6 +41,96 @@ def test_check_mesh_rejects_bad_input():
     # same edge traversed twice in the same direction = inconsistent orientation
     with pytest.raises(meshio.MeshValidationError):
         meshio.check_mesh(np.zeros((4, 3)), np.array([[0, 1, 2], [0, 1, 3]]))
+    # (0,1) is met before the repeated (1,0): the repeat is still the error named
+    with pytest.raises(meshio.MeshValidationError, match=r"edge \(1,0\) traversed twice"):
+        meshio.check_mesh(np.zeros((5, 3)), np.array([[0, 1, 2], [1, 0, 3], [1, 0, 4]]))
+
+
+def test_check_mesh_accepts_an_empty_face_array():
+    meshio.check_mesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
+
+
+def test_periodic_mesh_seam_faces_and_their_orientation():
+    # n_u = 2, n_v = 3, closed in v: the seam joins column 2 back to column 0
+    sample = vf.SurfaceSample(lambda uu, vv: (uu, vv, 0.0), np.arange(2.0), np.arange(3.0),
+                              periodic_v=True)
+    verts, faces = meshio.surface_mesh(sample)
+    assert faces.tolist() == [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2], [2, 5, 3], [2, 3, 0]]
+    faces[-1] = faces[-1][::-1]
+    with pytest.raises(meshio.MeshValidationError):
+        meshio.check_mesh(verts, faces)
+
+
+_SLICE_OBJ = """\
+# nil3lab surface mesh, matrix coordinates (x, y, z entries)
+v -1 -1 0.5
+v -1 0 0
+v -1 1 -0.5
+v 0 -1 0
+v 0 0 0
+v 0 1 0
+v 1 -1 -0.5
+v 1 0 0
+v 1 1 0.5
+f 1 4 5
+f 1 5 2
+f 2 5 6
+f 2 6 3
+f 4 7 8
+f 4 8 5
+f 5 8 9
+f 5 9 6
+"""
+
+_SLICE_PLY = """\
+ply
+format ascii 1.0
+comment nil3lab surface mesh, matrix coordinates (x, y, z entries)
+element vertex 9
+property float x
+property float y
+property float z
+property float quality
+element face 8
+property list uchar int vertex_indices
+end_header
+-1 -1 0.5 0
+-1 0 0 0.25
+-1 1 -0.5 0.5
+0 -1 0 0.75
+0 0 0 1
+0 1 0 1.25
+1 -1 -0.5 1.5
+1 0 0 1.75
+1 1 0.5 2
+3 0 3 4
+3 0 4 1
+3 1 4 5
+3 1 5 2
+3 3 6 7
+3 3 7 4
+3 4 7 8
+3 4 8 5
+"""
+
+
+def test_export_writes_the_exact_obj_and_ply_text(tmp_path):
+    # the slice zeta = 0 in matrix coordinates is z = x y / 2
+    sample = vf.slice_sample(extent=1.0, n=3)
+    meshio.export_mesh(sample, tmp_path / "s.obj", fmt="obj")
+    assert (tmp_path / "s.obj").read_bytes() == _SLICE_OBJ.encode()
+    meshio.export_mesh(sample, tmp_path / "s.ply", fmt="ply", scalar=np.arange(9.0) / 4)
+    assert (tmp_path / "s.ply").read_bytes() == _SLICE_PLY.encode()
+
+
+def test_export_rejects_an_unknown_format_before_triangulating(tmp_path):
+    calls = []
+    sample = vf.SurfaceSample(lambda uu, vv: calls.append(1) or (uu, vv, 0.0),
+                              np.arange(3.0), np.arange(3.0))
+    with pytest.raises(ValueError, match="unknown mesh format"):
+        meshio.export_mesh(sample, tmp_path / "c.xyz", fmt="xyz")
+    assert calls == []
+    assert not (tmp_path / "c.xyz").exists()
 
 
 def test_export_obj_and_ply_stable_bytes(tmp_path):
@@ -111,6 +201,11 @@ def test_csv_generic_columns(tmp_path):
     assert set(back) == {"t", "h"}
     with pytest.raises(ValueError):
         meshio.export_csv({"a": np.zeros(2), "b": np.zeros(3)}, path)
+    with pytest.raises(ValueError, match="no column"):
+        meshio.export_csv({}, path)
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(ValueError, match="line 3 has 1 fields"):
+        meshio.read_csv(path)
 
 
 # ---------------------------------------------------------------- CLI
@@ -239,13 +334,17 @@ def test_cli_non_finite_input_is_usage_error(argv, capsys):
          "export-tmax-below-neck", "export-extent-nan", "export-extent-inf",
          "export-extent-zero"],
 )
-def test_cli_names_the_flag_at_fault(argv, flag, capsys):
+def test_cli_names_the_flag_at_fault(argv, flag, tmp_path, capsys):
     # the helper's own message ("profile needs at least two nodes", "profile
     # radius t=... below the neck") names no flag; a non-finite or zero
     # --extent gave a mesh of NaN vertices or of the origin alone, and exit 0
+    mesh = tmp_path / "m.obj"
+    if argv[0] == "export":
+        argv = [*argv, "--obj", str(mesh)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "usage error" in err and flag in err
+    assert not mesh.exists()
 
 
 @pytest.mark.parametrize(
@@ -292,8 +391,20 @@ def test_cli_asymptotic_any_angular_count(capsys):
 
 def test_cli_export_surface(tmp_path):
     path = tmp_path / "t.obj"
-    assert main(["export", "--surface", "tplane", "--nu", "6", "--obj", str(path)]) == 0
-    assert path.exists()
+    assert main(["export", "--surface", "tplane", "--nu", "4", "--nv", "9", "--obj", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert sum(line.startswith("v ") for line in lines) == 4 * 9
+    assert sum(line.startswith("f ") for line in lines) == 2 * 3 * 8
+
+
+@pytest.mark.parametrize("outputs", [["--obj", "a.obj", "--ply", "b.ply"], []],
+                         ids=["both", "neither"])
+def test_cli_export_needs_exactly_one_output(tmp_path, monkeypatch, outputs):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--nu", "3", "--nv", "3", *outputs])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
