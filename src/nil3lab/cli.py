@@ -204,6 +204,9 @@ def _cmd_export(args) -> int:
             raise ValueError(f"--extent={args.extent:g} must be finite and positive")
         sample = verify.slice_sample(extent=args.extent, n=args.nu, n_v=args.nv)
     elif args.surface == "catenoid":
+        if args.nv < 3:
+            raise ValueError(f"--nv={args.nv} must be at least 3 for --surface catenoid: "
+                             "the angle closes up, and two angles would cover each quad twice")
         sample = verify.catenoid_sample(
             _catenoid_params(args), args.tmax, n_t=args.nu, n_theta=args.nv
         )

@@ -34,11 +34,15 @@ def surface_mesh(sample) -> tuple[np.ndarray, np.ndarray]:
     Vertex i * n_v + j is the sample at (u_i, v_j).  Each grid quad gives the
     faces (v00, v10, v11), (v00, v11, v01) in row-major order.  A periodic
     v-direction is closed by identifying the seam vertices, so the vertex
-    count is n_u * n_v instead of n_u * (n_v + 1).
+    count is n_u * n_v instead of n_u * (n_v + 1); it needs n_v >= 3, since
+    with two samples each quad's two triangles would be met twice, once in
+    each orientation.
     """
     ugrid = np.asarray(sample.u_grid, dtype=float)
     vgrid = np.asarray(sample.v_grid, dtype=float)
     n_u, n_v = len(ugrid), len(vgrid)
+    if sample.periodic_v and n_v < 3:
+        raise MeshValidationError(f"a periodic v-direction needs at least 3 samples, got {n_v}")
     verts = np.array([sample.chart_map(uu, vv) for uu in ugrid for vv in vgrid],
                      dtype=float).reshape(n_u * n_v, 3)
     verts[:, 2] += verts[:, 0] * verts[:, 1] / 2.0
@@ -102,7 +106,7 @@ def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
     else:
         props = ["x", "y", "z"] + (["quality"] if scalar is not None else [])
         header = ["ply", "format ascii 1.0", f"comment {_HEADER}", f"element vertex {len(verts)}"]
-        header += [f"property float {name}" for name in props]
+        header += [f"property double {name}" for name in props]
         header += [f"element face {len(faces)}", "property list uchar int vertex_indices", "end_header"]
         vert_row, face_row = "", "3 {} {} {}"
     vert_row += " ".join(["{:.17g}"] * table.shape[1])

@@ -20,6 +20,12 @@ import numpy as np
 from .surface import geodesic_circle_curvature, warp_g
 
 SQRT2 = math.sqrt(2.0)
+# relative target of every quad call, and the relative error bound a value is
+# accepted against besides the absolute tolerance
+_QUAD_REL = 1e-13
+# nodes and weights on [-1, 1] of the 8- and 16-point Gauss-Legendre rules the
+# cumulative flux heights are integrated with
+_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 16))
 
 __all__ = [
     "CatenoidParams",
@@ -93,15 +99,15 @@ def _quartic(s: float, c: float) -> float:
     return s * s * (s * s + 8.0) - c * c
 
 
-def _quad_checked(fn, lo, hi, tol, ctx="quadrature"):
+def _quad_checked(fn, lo, hi, tol, ctx="quadrature", points=None):
     if not 0 < tol < math.inf:
         raise ValueError(f"{ctx}: tol must be finite and positive")
-    # imported here, not at module level: the PDE solves never integrate, and
-    # scipy.integrate roughly doubles the start-up of `import nil3lab`
+    # imported here, not at module level: scipy.integrate roughly doubles the
+    # start-up of `import nil3lab`, and only the quadratures need it (an annulus
+    # solve integrates through its default guess, a disk solve never does)
     from scipy.integrate import quad
 
-    rel = 1e-13
-    val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=rel, limit=300)
+    val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=_QUAD_REL, limit=300, points=points)
     # a tol finer than the float spacing at the value is unreachable whatever
     # the estimate says
     if math.isfinite(val) and tol < math.ulp(val):
@@ -111,7 +117,7 @@ def _quad_checked(fn, lo, hi, tol, ctx="quadrature"):
         )
     # quad stops once either of its targets is met, so the estimate is
     # accepted against either bound
-    if not err <= max(tol, rel * abs(val)):
+    if not err <= max(tol, _QUAD_REL * abs(val)):
         raise QuadratureError(f"{ctx}: error estimate {err:.3g} above tol {tol:.3g}")
     return val
 
@@ -351,12 +357,15 @@ def subsolution_check(params: BarrierParams, r0: float, grid) -> SubsolutionRepo
 
 
 def _flux_integrand_factory(c: float, r_in: float):
-    """Integrand of the height integral in the de-singularized variable xi.
+    """Integrand of the height integral in the de-singularized variable xi, and its ramp width.
 
     With rho = r_in + xi^2 the radial height integral becomes
     int 2 xi c / sqrt(g(rho)^2 - c^2) dxi, and g(rho)^2 - c^2 is evaluated in
     the cancellation-free split form xi^2 * A(rho) + (g(r_in)^2 - c^2), which
-    stays smooth even at the extremal flux c = g(r_in).
+    stays smooth even at the extremal flux c = g(r_in).  The integrand takes a
+    float or an array of xi.  It climbs from 0 to its plateau 2c / sqrt(A)
+    within the ramp width xi* = sqrt((g(r_in)^2 - c^2) / A(r_in)), returned
+    with it; xi* is 0 at the extremal flux itself.
     """
     g_in = warp_g(r_in)
     b = (g_in - c) * (g_in + c)  # g(r_in)^2 - c^2 >= 0
@@ -364,9 +373,26 @@ def _flux_integrand_factory(c: float, r_in: float):
     def integrand(xi):
         rho = r_in + xi * xi
         a = (rho + r_in) * (1.0 + (rho * rho + r_in * r_in) / 8.0)
-        return 2.0 * xi * c / math.sqrt(xi * xi * a + b)
+        return 2.0 * xi * c / np.sqrt(xi * xi * a + b)
 
-    return integrand
+    return integrand, math.sqrt(b / (2.0 * r_in * (1.0 + r_in * r_in / 4.0)))
+
+
+def _flux_quad(integrand, ramp: float, lo: float, hi: float, tol: float) -> float:
+    """The flux integrand integrated over [lo, hi] in xi by `_quad_checked`.
+
+    The integrand's nearest singularity is i * ramp, so near xi = 0 it varies
+    on the scale max(xi, ramp).  quad's outermost nodes sit (hi - lo) / 460
+    inside the range, so a ramp far narrower than the range falls between them
+    unseen by the error estimate (a flux 1.3e-10 below the extremal one over
+    [1, 4] gained 1.4e-5 too much height).  Such a range is cut at hi / 4^k
+    down to that scale.
+    """
+    points = None
+    scale = max(lo, ramp)
+    if ramp > 0 and scale < (hi - lo) / 64.0:
+        points = hi / 4.0 ** np.arange(1, math.ceil(math.log(hi / scale, 4.0)))
+    return _quad_checked(integrand, lo, hi, tol, "flux height", points=points)
 
 
 def flux_height_difference(
@@ -380,8 +406,8 @@ def flux_height_difference(
         raise ValueError(f"flux must lie in [0, g(r_in)] = [0, {g_in:.6g}]")
     if c == 0:
         return 0.0
-    integrand = _flux_integrand_factory(c, r_in)
-    return _quad_checked(integrand, 0.0, math.sqrt(r_out - r_in), tol, "flux height")
+    integrand, ramp = _flux_integrand_factory(c, r_in)
+    return _flux_quad(integrand, ramp, 0.0, math.sqrt(r_out - r_in), tol)
 
 
 def radial_mse_solve(
@@ -398,6 +424,15 @@ def radial_mse_solve(
     arc-length units) by bracketing on [0, g(r_in)]; the extremal flux is the
     vertical-tangent profile, so requested differences beyond its height gain
     raise NoAdmissibleFluxError carrying the attainable maximum.
+
+    The heights at the nodes are cumulative sums over the intervals between
+    them in xi = sqrt(r - r_in), where the integrand is smooth.  Every
+    interval is integrated at once by the 16-point Gauss-Legendre rule, and
+    its distance from the 8-point rule is its error estimate.  An interval
+    whose estimate misses the bound quad's own estimate must meet,
+    max(tol', 1e-13 |value|) with tol' = min(tol / 4, 1e-12), is integrated
+    again by quad; near the extremal flux that is the first interval, over
+    which the integrand climbs to its plateau.
     """
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
@@ -429,16 +464,14 @@ def radial_mse_solve(
             c_star = brentq(fun, 0.0, g_in, xtol=1e-15, rtol=8.9e-16)
         c_star = math.copysign(c_star, delta)
 
-    # cumulative heights at the nodes, stitched interval by interval in xi
-    integrand = _flux_integrand_factory(abs(c_star), r_in)
+    integrand, ramp = _flux_integrand_factory(abs(c_star), r_in)
     xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
-    vals = np.empty_like(nodes)
-    vals[0] = u_in
-    acc = 0.0
-    for k in range(1, len(nodes)):
-        if c_star != 0.0:
-            acc += _quad_checked(integrand, xi[k - 1], xi[k], quad_tol, "flux height")
-        vals[k] = u_in + math.copysign(acc, c_star) if c_star != 0.0 else u_in
+    half, mid = 0.5 * np.diff(xi)[:, None], 0.5 * (xi[1:] + xi[:-1])[:, None]
+    coarse, fine = ((half * integrand(mid + half * x)) @ w for x, w in _GAUSS_LEGENDRE)
+    missed = ~(np.abs(fine - coarse) <= np.maximum(quad_tol, _QUAD_REL * np.abs(fine)))
+    for k in np.flatnonzero(missed):
+        fine[k] = _flux_quad(integrand, ramp, xi[k], xi[k + 1], quad_tol)
+    vals = u_in + math.copysign(1.0, c_star) * np.concatenate([[0.0], np.cumsum(fine)])
 
     g_sq = warp_g(nodes) ** 2
     denom = g_sq - c_star * c_star

@@ -59,6 +59,10 @@ def test_periodic_mesh_seam_faces_and_their_orientation():
     faces[-1] = faces[-1][::-1]
     with pytest.raises(meshio.MeshValidationError):
         meshio.check_mesh(verts, faces)
+    # two samples around a closed v-direction would give each quad twice
+    sample.v_grid = np.arange(2.0)
+    with pytest.raises(meshio.MeshValidationError, match="at least 3 samples, got 2"):
+        meshio.surface_mesh(sample)
 
 
 _SLICE_OBJ = """\
@@ -87,10 +91,10 @@ ply
 format ascii 1.0
 comment nil3lab surface mesh, matrix coordinates (x, y, z entries)
 element vertex 9
-property float x
-property float y
-property float z
-property float quality
+property double x
+property double y
+property double z
+property double quality
 element face 8
 property list uchar int vertex_indices
 end_header
@@ -147,7 +151,7 @@ def test_export_obj_and_ply_stable_bytes(tmp_path):
     scalar = np.arange(25.0)
     meshio.export_mesh(sample, ply, fmt="ply", scalar=scalar)
     content = ply.read_text()
-    assert "property float quality" in content
+    assert "property double quality" in content
     assert content.startswith("ply\nformat ascii 1.0\n")
     with pytest.raises(ValueError):
         meshio.export_mesh(sample, tmp_path / "c.xyz", fmt="xyz")
@@ -190,7 +194,7 @@ def test_graph_mesh_with_residual_channel(tmp_path):
     path = tmp_path / "graph.ply"
     meshio.export_mesh(sample, path, fmt="ply", scalar=scalar)
     text = path.read_text()
-    assert "property float quality" in text
+    assert "property double quality" in text
     assert f"element vertex {scalar.size}" in text
 
 
@@ -329,15 +333,17 @@ def test_cli_non_finite_input_is_usage_error(argv, capsys):
         (["export", "--extent", "nan"], "--extent"),
         (["export", "--extent", "inf"], "--extent"),
         (["export", "--extent", "0"], "--extent"),
+        (["export", "--surface", "catenoid", "--nu", "3", "--nv", "2"], "--nv"),
     ],
     ids=["barrier-step-above-rmax", "catenoid-one-sample", "catenoid-tmax-below-neck",
          "export-tmax-below-neck", "export-extent-nan", "export-extent-inf",
-         "export-extent-zero"],
+         "export-extent-zero", "export-catenoid-two-angles"],
 )
 def test_cli_names_the_flag_at_fault(argv, flag, tmp_path, capsys):
     # the helper's own message ("profile needs at least two nodes", "profile
     # radius t=... below the neck") names no flag; a non-finite or zero
-    # --extent gave a mesh of NaN vertices or of the origin alone, and exit 0
+    # --extent gave a mesh of NaN vertices or of the origin alone, and exit 0;
+    # two catenoid angles failed the mesh check under an edge's name
     mesh = tmp_path / "m.obj"
     if argv[0] == "export":
         argv = [*argv, "--obj", str(mesh)]

@@ -4,9 +4,21 @@ import numpy as np
 import pytest
 
 from nil3lab import radial as rd
+from nil3lab.solver import AnnulusGrid
 from nil3lab.surface import orbit_circumference, warp_g
 
 SQRT2 = math.sqrt(2.0)
+# 1.3e-10 below the extremal flux g(1): over [1, 4] the flux integrand climbs
+# to its plateau within xi* = 1.1e-5 of 0, between quad's outermost nodes
+NEAR_EXTREMAL_C = 1.0606601716466686
+
+
+def _gauss_panels(fn, edges, n=20):
+    """Integral of fn over [edges[0], edges[-1]], an n-point Gauss-Legendre rule per panel."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * t
+    return float(np.sum(half * w * fn(nodes)))
 
 
 def test_t0_min_examples():
@@ -161,11 +173,7 @@ def test_barrier_value_for_r0_2(r):
     # a value near 16) above the absolute tol 1e-12; the value is still good
     params = rd.BarrierParams(1.0, 2.0)
     val, _ = rd.barrier_f(params, r)
-    t, w = np.polynomial.legendre.leggauss(20)
-    edges = np.linspace(0.0, r, 41)
-    half = 0.5 * np.diff(edges)[:, None]
-    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * t
-    ref = float(np.sum(half * w * rd.barrier_fprime(params, nodes)))
+    ref = _gauss_panels(lambda x: rd.barrier_fprime(params, x), np.linspace(0.0, r, 41))
     assert abs(val - ref) <= 1e-10 * ref
 
 
@@ -236,6 +244,65 @@ def test_radial_mse_solve_argument_validation():
         rd.radial_mse_solve(0.0, 4.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         rd.radial_mse_solve(4.0, 1.0, 0.0, 1.0)
+
+
+def test_flux_height_near_the_extremal_flux():
+    # the exact value is from a 40-digit quadrature; quad over the whole
+    # range gave 1.7456649088741 with an error estimate below 1e-12
+    height = rd.flux_height_difference(NEAR_EXTREMAL_C, 1.0, 4.0, 1e-12)
+    assert abs(height - 1.7456506480588) <= 1e-9
+
+
+@pytest.mark.parametrize("share", [1e-1, 1e-2, 1e-3, 1e-5, 1e-7])
+def test_flux_height_resolves_the_ramp_at_any_width(share):
+    # the flux whose ramp width is share * sqrt(3) over [1, 4], against
+    # panels that double in width from xi* / 64 outward
+    hi = math.sqrt(3.0)
+    c = math.sqrt(warp_g(1.0) ** 2 - 2.5 * (share * hi) ** 2)
+    integrand, ramp = rd._flux_integrand_factory(c, 1.0)
+    assert ramp == pytest.approx(share * hi, rel=1e-2)  # c is rounded to a float
+    cuts = ramp / 64.0 * 2.0 ** np.arange(math.ceil(math.log2(64.0 * hi / ramp)))
+    ref = _gauss_panels(integrand, np.concatenate([[0.0], cuts, [hi]]))
+    assert abs(rd.flux_height_difference(c, 1.0, 4.0, 1e-12) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(s):
+    # the m = 32 grid of the exterior acceptance settings, the flux its
+    # default guess takes for boundary gradient s
+    nodes = AnnulusGrid.annulus(1.0, 32.0, 256, 64, 2.0).r
+    c = s * warp_g(1.0) / math.sqrt(1.0 + s * s)
+    prof = rd.radial_mse_solve(1.0, 32.0, 0.0, rd.flux_height_difference(c, 1.0, 32.0), nodes=nodes)
+    heights = [rd.flux_height_difference(prof.flux, 1.0, r) for r in nodes[1:]]
+    assert np.max(np.abs(prof.value[1:] - heights)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["exterior", "near-extremal"])
+def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypatch):
+    if case == "exterior":
+        r_out, nodes = 32.0, AnnulusGrid.annulus(1.0, 32.0, 256, 64, 2.0).r
+        u_out = rd.flux_height_difference(warp_g(1.0) / SQRT2, 1.0, r_out)
+    else:
+        r_out, nodes = 4.0, AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
+        u_out = (1.0 - 1e-6) * rd.flux_height_difference(warp_g(1.0), 1.0, r_out)
+    xi = np.sqrt(nodes - 1.0)
+    quad_calls, flux_calls = [], []
+    quad, height = rd._quad_checked, rd.flux_height_difference
+    monkeypatch.setattr(rd, "_quad_checked", lambda fn, lo, hi, *a, **k:
+                        quad_calls.append((lo, hi)) or quad(fn, lo, hi, *a, **k))
+    monkeypatch.setattr(rd, "flux_height_difference", lambda *a: flux_calls.append(a[0]) or height(*a))
+    prof = rd.radial_mse_solve(1.0, r_out, 0.0, u_out, nodes=nodes)
+    monkeypatch.undo()
+    # the root-find integrates each nonzero trial flux over the whole range;
+    # the cumulative pass adds only the intervals the 16-point rule misses
+    brentq = [(0.0, math.sqrt(r_out - 1.0))] * sum(c > 0 for c in flux_calls)
+    fallback = [] if case == "exterior" else [(0.0, xi[1])]
+    assert quad_calls == brentq + fallback
+    assert prof.bc_residual <= 1e-10
+    # the interval-by-interval loop the pass replaces
+    integrand, ramp = rd._flux_integrand_factory(prof.flux, 1.0)
+    loop = np.cumsum([rd._flux_quad(integrand, ramp, lo, hi, 1e-12) for lo, hi in zip(xi, xi[1:])])
+    assert np.max(np.abs(prof.value[1:] - loop)) <= 1e-15
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
