@@ -23,9 +23,6 @@ SQRT2 = math.sqrt(2.0)
 # relative target of every quad call, and the relative error bound a value is
 # accepted against besides the absolute tolerance
 _QUAD_REL = 1e-13
-# nodes and weights on [-1, 1] of the 8- and 16-point Gauss-Legendre rules the
-# cumulative flux heights are integrated with
-_GAUSS_LEGENDRE = tuple(np.polynomial.legendre.leggauss(n) for n in (8, 16))
 
 __all__ = [
     "CatenoidParams",
@@ -354,6 +351,31 @@ def subsolution_check(params: BarrierParams, r0: float, grid) -> SubsolutionRepo
         min_margin=float(np.min(margin)),
         ok=bool(np.min(mop) >= -1e-10 and np.min(margin) > 0),
     )
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n from Tricomi's estimates of its roots, which
+    reaches rounding level within four steps for n <= 16.  numpy's leggauss
+    finds the nodes with an eigensolver instead; its first call starts
+    numpy's LAPACK, which raised the peak memory of an exterior solve by
+    0.7 MB.
+    """
+    leg = np.polynomial.legendre
+    p_n = np.zeros(n + 1)
+    p_n[n] = 1.0
+    dp_n = leg.legder(p_n)
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(4):
+        x -= leg.legval(x, p_n) / leg.legval(x, dp_n)
+    x = 0.5 * (x - x[::-1])
+    w = 1.0 / ((1.0 - x * x) * leg.legval(x, dp_n) ** 2)
+    return x, w * (2.0 / w.sum())
+
+
+# the rules the cumulative flux heights are integrated with
+_GAUSS_LEGENDRE = (_gauss_legendre(8), _gauss_legendre(16))
 
 
 def _flux_integrand_factory(c: float, r_in: float):

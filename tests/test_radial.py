@@ -246,6 +246,14 @@ def test_radial_mse_solve_argument_validation():
         rd.radial_mse_solve(4.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_gauss_legendre_rule_matches_numpy(n):
+    x, w = rd._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(x - ref_x)) <= 2e-16
+    assert np.max(np.abs(w - ref_w)) <= 1e-15
+
+
 def test_flux_height_near_the_extremal_flux():
     # the exact value is from a 40-digit quadrature; quad over the whole
     # range gave 1.7456649088741 with an error estimate below 1e-12
