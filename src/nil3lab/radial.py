@@ -358,9 +358,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Newton's method on P_n from Tricomi's estimates of its roots, which
     reaches rounding level within four steps for n <= 16.  numpy's leggauss
-    finds the nodes with an eigensolver instead; its first call starts
-    numpy's LAPACK, which raised the peak memory of an exterior solve by
-    0.7 MB.
+    finds the nodes with an eigensolver instead; at import, its first call
+    would start numpy's LAPACK and add its buffers to the peak memory of
+    every solve that follows.
     """
     leg = np.polynomial.legendre
     p_n = np.zeros(n + 1)
