@@ -1,10 +1,12 @@
 """One-dimensional reductions on the model surface.
 
-Three families live here: catenoid profiles obtained by quadrature of an
-integrand with an inverse-square-root endpoint singularity at the minimal
-neck, the radial barrier/subsolution family used to cap exterior solutions,
-and rotationally symmetric minimal graphs recovered from their flux first
-integral g(r) u'/sqrt(1 + u'^2) = const.
+Two families live here: the radial barrier/subsolution family used to cap
+exterior solutions, and rotationally symmetric minimal graphs over
+dr^2 + g(r)^2 dtheta^2 with the flux first integral g u'/sqrt(1 + u'^2) = c.
+Their heights are one integral of u' = c / sqrt(g^2 - c^2), given the neck
+gap b = g(r_in)^2 - c^2 free of cancellation.  A catenoid (c, t0) is the
+graph of flux c/(2 sqrt 2) from r = t0; `radial_mse_solve` root-finds the
+flux on an angle phi, with c = g(r_in) sin(phi) and b = (g(r_in) cos(phi))^2.
 
 Heights are stored in fiber arc-length units (sqrt(2) times the chart zeta
 offset) except where a function explicitly returns the chart offset h.
@@ -12,6 +14,7 @@ offset) except where a function explicitly returns the chart offset h.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,11 +94,6 @@ class CatenoidParams:
             )
 
 
-def _quartic(s: float, c: float) -> float:
-    # P(s) = s^2 (s^2 + 8) - c^2 = (s^2 - a)(s^2 + a + 8) with a = t0_min(c)^2
-    return s * s * (s * s + 8.0) - c * c
-
-
 def _quad_checked(fn, lo, hi, tol, ctx="quadrature", points=None):
     if not 0 < tol < math.inf:
         raise ValueError(f"{ctx}: tol must be finite and positive")
@@ -119,43 +117,27 @@ def _quad_checked(fn, lo, hi, tol, ctx="quadrature", points=None):
     return val
 
 
-def catenoid_height(
-    params: CatenoidParams, t: float, tol: float = 1e-10, method: str = "auto"
-) -> float:
-    """Chart zeta-offset h(t) of the catenoid profile at radius t >= t0.
+def _catenoid_integrand(params: CatenoidParams, t: float):
+    """Flux integrand and ramp width of the catenoid, for heights out to radius t.
 
-    At the minimal neck the integrand behaves like (s - t0)^{-1/2}; the
-    substitution s^2 = t0^2 + tau^2 removes the singularity, and is used
-    whenever t0 is within 1e-6 of t0_min(c) (or always with
-    method="substituted").  method="plain" integrates the raw integrand and
-    is only valid away from the minimal neck.
+    The catenoid is the flux-c/(2 sqrt 2) graph from r = t0, as
+    t^2 (t^2 + 8) - c^2 = 8 (g(t)^2 - c^2/8).  With a = t0_min(c)^2 its neck
+    gap (t0^2 - a)(t0^2 + a + 8)/8 is exactly 0 at the minimal neck; the clamp
+    covers the 1e-12 by which t0 may lie below it.
     """
-    c, t0 = params.c, params.t0
-    if t < t0 - 1e-12:
-        raise ValueError(f"profile radius t={t} below the neck t0={t0}")
-    if t <= t0:
-        return 0.0
-    if method not in ("auto", "substituted", "plain"):
-        raise ValueError(f"unknown quadrature method {method!r}")
+    if t < params.t0 - 1e-12:
+        raise ValueError(f"profile radius t={t} below the neck t0={params.t0}")
+    a = t0_min(params.c) ** 2
+    t0_sq = params.t0 * params.t0
+    gap = max(t0_sq - a, 0.0) * (t0_sq + a + 8.0) / 8.0
+    return _flux_integrand_factory(params.c / (2.0 * SQRT2), params.t0, gap)
 
-    pref = c / SQRT2
-    singular = t0 <= t0_min(c) + 1e-6
-    if method == "substituted" or (method == "auto" and singular):
-        a = t0_min(c) ** 2
-        delta = t0 * t0 - a  # >= 0; zero exactly at the minimal neck
 
-        def integrand(tau):
-            s2 = t0 * t0 + tau * tau
-            s = math.sqrt(s2)
-            return tau / (s * math.sqrt((tau * tau + delta) * (s2 + a + 8.0)))
-
-        hi = math.sqrt(t * t - t0 * t0)
-        return pref * _quad_checked(integrand, 0.0, hi, tol / max(pref, 1.0), "catenoid height")
-
-    def integrand_plain(s):
-        return 1.0 / math.sqrt(_quartic(s, c))
-
-    return pref * _quad_checked(integrand_plain, t0, t, tol / max(pref, 1.0), "catenoid height")
+def catenoid_height(params: CatenoidParams, t: float, tol: float = 1e-10) -> float:
+    """Chart zeta-offset h(t) of the catenoid profile at radius t >= t0."""
+    integrand, ramp = _catenoid_integrand(params, t)
+    hi = math.sqrt(max(t - params.t0, 0.0))
+    return _flux_quad(integrand, ramp, 0.0, hi, SQRT2 * tol) / SQRT2
 
 
 def catenoid_profile(
@@ -163,24 +145,26 @@ def catenoid_profile(
 ) -> "RadialProfile":
     """Sampled catenoid profile in arc-length units with the exact derivative.
 
-    value = sqrt(2) h(t); deriv = u'(t) = c / sqrt(P(t)) from the defining
-    integrand (infinite at the minimal neck itself).
+    value = sqrt(2) h(t), accumulated from t0 over the intervals between the
+    nodes; deriv = u'(t) = c / sqrt(t^2 (t^2 + 8) - c^2), infinite at the
+    minimal neck itself.
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
-    vals = np.array([SQRT2 * catenoid_height(params, t, tol) for t in t_nodes])
-    p = np.array([_quartic(t, params.c) for t in t_nodes])
-    with np.errstate(divide="ignore"):
-        derivs = np.where(p > 0, params.c / np.sqrt(np.maximum(p, 0.0)), np.inf)
-    return RadialProfile(t_nodes, vals, derivs, flux=params.c / (2.0 * SQRT2))
+    t0 = params.t0
+    integrand, ramp = _catenoid_integrand(params, t_nodes[0])
+    lead = [t0] if t_nodes[0] > t0 else []  # heights accumulate from the neck
+    heights, derivs = _flux_profile(integrand, ramp, t0, np.concatenate([lead, t_nodes]), SQRT2 * tol)
+    n = len(t_nodes)
+    return RadialProfile(t_nodes, heights[-n:], derivs[-n:], flux=params.c / (2.0 * SQRT2))
 
 
 def catenoid_flux_check(params: CatenoidParams, r: float, tol: float = 1e-13) -> float:
     """Flux g(r) u'/sqrt(1 + u'^2) with u' from differencing the quadrature height.
 
-    The derivative is a 4th-order central difference of catenoid_height, so
-    this genuinely cross-checks the quadrature against the first integral;
-    along an exact profile the value is constant and equals c/(2 sqrt(2))
-    (= g(t0) when t0 is minimal).
+    catenoid_height is the flux integral itself, so this 4th-order central
+    difference re-derives the same first integral: the value is constant,
+    c/(2 sqrt(2)) (= g(t0) at the minimal neck).  The independent checks of
+    the catenoid are the 3-D mean curvature of its surface.
     """
     c, t0 = params.c, params.t0
     if r <= t0:
@@ -378,30 +362,27 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 _GAUSS_LEGENDRE = (_gauss_legendre(8), _gauss_legendre(16))
 
 
-def _flux_integrand_factory(c: float, r_in: float):
-    """Integrand of the height integral in the de-singularized variable xi, and its ramp width.
+def _flux_integrand_factory(c: float, r_in: float, b: float):
+    """Height integrand u' = c / sqrt(g(r)^2 - c^2) of the flux-c graph in xi, and its ramp width.
 
-    With rho = r_in + xi^2 the radial height integral becomes
-    int 2 xi c / sqrt(g(rho)^2 - c^2) dxi, and g(rho)^2 - c^2 is evaluated in
-    the cancellation-free split form xi^2 * A(rho) + (g(r_in)^2 - c^2), which
-    stays smooth even at the extremal flux c = g(r_in).  The integrand takes a
-    float or an array of xi.  It climbs from 0 to its plateau 2c / sqrt(A)
-    within the ramp width xi* = sqrt((g(r_in)^2 - c^2) / A(r_in)), returned
-    with it; xi* is 0 at the extremal flux itself.
+    With rho = r_in + xi^2, g(rho)^2 - c^2 is the split form xi^2 A(rho) + b
+    with the neck gap b = g(r_in)^2 - c^2 >= 0 from the caller, so u' is
+    exact even at the extremal flux b = 0, where it is infinite at xi = 0.
+    It takes a float or an array of xi.  The height integrand in xi,
+    2 xi u', climbs from 0 to its plateau 2c / sqrt(A) within the ramp width
+    xi* = sqrt(b / A(r_in)), returned with it.
     """
-    g_in = warp_g(r_in)
-    b = (g_in - c) * (g_in + c)  # g(r_in)^2 - c^2 >= 0
 
     def integrand(xi):
         rho = r_in + xi * xi
         a = (rho + r_in) * (1.0 + (rho * rho + r_in * r_in) / 8.0)
-        return 2.0 * xi * c / np.sqrt(xi * xi * a + b)
+        return c / np.sqrt(xi * xi * a + b)
 
     return integrand, math.sqrt(b / (2.0 * r_in * (1.0 + r_in * r_in / 4.0)))
 
 
 def _flux_quad(integrand, ramp: float, lo: float, hi: float, tol: float) -> float:
-    """The flux integrand integrated over [lo, hi] in xi by `_quad_checked`.
+    """Height gain int 2 xi u'(xi) dxi over [lo, hi] by `_quad_checked`.
 
     The integrand's nearest singularity is i * ramp, so near xi = 0 it varies
     on the scale max(xi, ramp).  quad's outermost nodes sit (hi - lo) / 460
@@ -414,7 +395,37 @@ def _flux_quad(integrand, ramp: float, lo: float, hi: float, tol: float) -> floa
     scale = max(lo, ramp)
     if ramp > 0 and scale < (hi - lo) / 64.0:
         points = hi / 4.0 ** np.arange(1, math.ceil(math.log(hi / scale, 4.0)))
-    return _quad_checked(integrand, lo, hi, tol, "flux height", points=points)
+    return _quad_checked(
+        lambda xi: 2.0 * xi * integrand(xi), lo, hi, tol, "flux height", points=points
+    )
+
+
+def _flux_profile(integrand, ramp: float, r_in: float, nodes, tol: float):
+    """Heights from r_in = nodes[0] and derivatives u' at the nodes.
+
+    The heights are cumulative sums over the intervals between the nodes in
+    xi = sqrt(r - r_in), where the integrand is smooth.  Every interval is
+    integrated at once by the 16-point Gauss-Legendre rule, and its distance
+    from the 8-point rule is its error estimate.  An interval whose estimate
+    misses the bound quad's own estimate must meet, max(tol, 1e-13 |value|),
+    is integrated again by quad; near the extremal flux that is the first
+    interval, over which the integrand climbs to its plateau.
+    """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol={tol:g} must be finite and positive")
+    xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
+    half, mid = 0.5 * np.diff(xi)[:, None], 0.5 * (xi[1:] + xi[:-1])[:, None]
+    density = lambda z: 2.0 * z * integrand(z)
+    coarse, fine = ((half * density(mid + half * x)) @ w for x, w in _GAUSS_LEGENDRE)
+    # a ramp far narrower than its interval falls between the nodes of both
+    # rules, which then agree on the plateau; quad cuts such an interval
+    narrow = (ramp > 0) & (np.maximum(xi[:-1], ramp) < np.diff(xi) / 64.0)
+    missed = narrow | ~(np.abs(fine - coarse) <= np.maximum(tol, _QUAD_REL * np.abs(fine)))
+    for k in np.flatnonzero(missed):
+        fine[k] = _flux_quad(integrand, ramp, xi[k], xi[k + 1], tol)
+    with np.errstate(divide="ignore"):
+        derivs = integrand(xi)
+    return np.concatenate([[0.0], np.cumsum(fine)]), derivs
 
 
 def flux_height_difference(
@@ -426,9 +437,7 @@ def flux_height_difference(
     g_in = warp_g(r_in)
     if not 0 <= c <= g_in:
         raise ValueError(f"flux must lie in [0, g(r_in)] = [0, {g_in:.6g}]")
-    if c == 0:
-        return 0.0
-    integrand, ramp = _flux_integrand_factory(c, r_in)
+    integrand, ramp = _flux_integrand_factory(c, r_in, (g_in - c) * (g_in + c))
     return _flux_quad(integrand, ramp, 0.0, math.sqrt(r_out - r_in), tol)
 
 
@@ -442,19 +451,13 @@ def radial_mse_solve(
 ) -> RadialProfile:
     """Rotationally symmetric Dirichlet solve via the flux first integral.
 
-    Finds the flux constant matching the prescribed boundary heights (fiber
-    arc-length units) by bracketing on [0, g(r_in)]; the extremal flux is the
-    vertical-tangent profile, so requested differences beyond its height gain
-    raise NoAdmissibleFluxError carrying the attainable maximum.
-
-    The heights at the nodes are cumulative sums over the intervals between
-    them in xi = sqrt(r - r_in), where the integrand is smooth.  Every
-    interval is integrated at once by the 16-point Gauss-Legendre rule, and
-    its distance from the 8-point rule is its error estimate.  An interval
-    whose estimate misses the bound quad's own estimate must meet,
-    max(tol', 1e-13 |value|) with tol' = min(tol / 4, 1e-12), is integrated
-    again by quad; near the extremal flux that is the first interval, over
-    which the integrand climbs to its plateau.
+    Finds the flux c = g(r_in) sin(phi) matching the prescribed boundary
+    heights (fiber arc-length units) by a root-find on phi in [0, pi/2]; its
+    neck gap (g(r_in) cos(phi))^2 keeps its digits as c nears g(r_in), where
+    c itself cannot.  The extremal flux is the vertical-tangent profile, so
+    requested differences beyond its height gain raise NoAdmissibleFluxError
+    carrying the attainable maximum.  The heights at the nodes are one
+    cumulative pass at the quadrature tolerance min(tol / 4, 1e-12).
     """
     if not 0 < r_in < r_out:
         raise ValueError("need 0 < r_in < r_out")
@@ -470,36 +473,30 @@ def radial_mse_solve(
     g_in = warp_g(r_in)
     quad_tol = min(tol / 4.0, 1e-12)
 
-    if delta == 0:
-        c_star = 0.0
-    else:
+    def flux(phi):
+        # float cos(pi/2) is 6e-17, not the extremal gap 0
+        gap = (g_in * math.cos(phi)) ** 2 if phi < 0.5 * math.pi else 0.0
+        return _flux_integrand_factory(g_in * math.sin(phi), r_in, gap)
+
+    @functools.cache
+    def height(phi):
+        return _flux_quad(*flux(phi), 0.0, math.sqrt(r_out - r_in), quad_tol)
+
+    phi = 0.0
+    if delta != 0:
         target = abs(delta)
-        attain = flux_height_difference(g_in, r_in, r_out, quad_tol)
-        if target > attain:
-            if target - attain > max(10.0 * tol, 1e-8 * (1.0 + target)):
-                raise NoAdmissibleFluxError(target, attain)
-            c_star = g_in
-        else:
+        phi = 0.5 * math.pi
+        attain = height(phi)
+        if target - attain > max(10.0 * tol, 1e-8 * (1.0 + target)):
+            raise NoAdmissibleFluxError(target, attain)
+        if target < attain:
             from scipy.optimize import brentq
 
-            fun = lambda c: flux_height_difference(c, r_in, r_out, quad_tol) - target
-            c_star = brentq(fun, 0.0, g_in, xtol=1e-15, rtol=8.9e-16)
-        c_star = math.copysign(c_star, delta)
+            phi = brentq(lambda p: height(p) - target, 0.0, phi, xtol=1e-15, rtol=8.9e-16)
 
-    integrand, ramp = _flux_integrand_factory(abs(c_star), r_in)
-    xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
-    half, mid = 0.5 * np.diff(xi)[:, None], 0.5 * (xi[1:] + xi[:-1])[:, None]
-    coarse, fine = ((half * integrand(mid + half * x)) @ w for x, w in _GAUSS_LEGENDRE)
-    missed = ~(np.abs(fine - coarse) <= np.maximum(quad_tol, _QUAD_REL * np.abs(fine)))
-    for k in np.flatnonzero(missed):
-        fine[k] = _flux_quad(integrand, ramp, xi[k], xi[k + 1], quad_tol)
-    vals = u_in + math.copysign(1.0, c_star) * np.concatenate([[0.0], np.cumsum(fine)])
-
-    g_sq = warp_g(nodes) ** 2
-    denom = g_sq - c_star * c_star
-    with np.errstate(divide="ignore"):
-        derivs = np.where(denom > 0, c_star / np.sqrt(np.maximum(denom, 0.0)),
-                          math.copysign(np.inf, c_star) if c_star != 0 else 0.0)
-
+    sign = math.copysign(1.0, delta)
+    heights, derivs = _flux_profile(*flux(phi), r_in, nodes, quad_tol)
+    vals = u_in + sign * heights
     residual = abs(vals[-1] - u_out)
-    return RadialProfile(nodes, vals, derivs, flux=c_star, bc_residual=residual)
+    flux_c = sign * g_in * math.sin(phi)
+    return RadialProfile(nodes, vals, sign * derivs, flux=flux_c, bc_residual=residual)

@@ -74,29 +74,32 @@ def test_catenoid_height_observed_plateau():
     assert gaps[2] < 0.06
 
 
-def test_catenoid_quadrature_methods_agree_at_minimal_neck():
-    # the raw integrand is integrable even at the minimal neck; both routes
-    # agree, and an unreachable tolerance surfaces as QuadratureError
-    import warnings
-
-    params = rd.CatenoidParams(3.0, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        plain = rd.catenoid_height(params, 3.0, tol=1e-11, method="plain")
-    sub = rd.catenoid_height(params, 3.0, tol=1e-12, method="substituted")
-    assert abs(plain - sub) <= 1e-11
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(rd.QuadratureError):
-            rd.catenoid_height(params, 3.0, tol=1e-17, method="plain")
+@pytest.mark.parametrize(
+    "c, t0, t, ref",
+    [
+        (3.0, 1.0, 1.5, 0.6342297529441280871243),
+        (3.0, 1.0, 4.0, 1.234371494802813781121),
+        (3.0, 2.0, 4.0, 0.3830763238738799736131),
+        (3.0, 2.0, 7.0, 0.5826925853413273523467),
+    ],
+)
+def test_catenoid_height_reference_values(c, t0, t, ref):
+    # chart offsets from a 45-digit quadrature, at the minimal neck and off it
+    assert abs(rd.catenoid_height(rd.CatenoidParams(c, t0), t, tol=1e-12) - ref) <= 1e-12
 
 
-def test_catenoid_quadrature_methods_agree_off_neck():
-    params = rd.CatenoidParams(3.0, 2.0)  # non-minimal neck: integrand bounded at t0
-    for t in (2.5, 4.0, 7.0):
-        a = rd.catenoid_height(params, t, tol=1e-11, method="plain")
-        b = rd.catenoid_height(params, t, tol=1e-11, method="substituted")
-        assert abs(a - b) <= 1e-11
+def test_catenoid_height_unreachable_tolerance_raises():
+    with pytest.raises(rd.QuadratureError):
+        rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 3.0, tol=1e-17)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_catenoid_height_just_above_the_minimal_neck(tol):
+    # the neck gap is 2.5e-10, so the integrand climbs within xi* = 1e-5 of
+    # the neck; a quadrature that stepped over that ramp returned the
+    # minimal-neck height 1.3876212056157
+    height = rd.catenoid_height(rd.CatenoidParams(3.0, 1.0000000001), 6.0, tol=tol)
+    assert abs(height - 1.387611718782270286) <= 1e-12
 
 
 def test_catenoid_flux_examples():
@@ -116,16 +119,6 @@ def test_catenoid_flux_constancy_along_profile():
     radii = np.concatenate([[1.05, 1.1, 1.25], np.linspace(1.5, 20.0, 9)])
     fluxes = [rd.catenoid_flux_check(params, r) for r in radii]
     assert max(fluxes) - min(fluxes) <= 1e-8
-
-
-def test_catenoid_height_agrees_with_first_integral_route():
-    # height by quadrature of the defining integrand vs height integrated
-    # from the flux first integral with the neck value c/(2 sqrt 2)
-    params = rd.CatenoidParams(3.0, 1.0)
-    for t in (1.5, 2.0, 4.0):
-        via_quad = SQRT2 * rd.catenoid_height(params, t, tol=1e-12)
-        via_flux = rd.flux_height_difference(3.0 / (2.0 * SQRT2), 1.0, t, tol=1e-12)
-        assert abs(via_quad - via_flux) <= 1e-10
 
 
 def test_catenoid_degenerate_small_flux():
@@ -266,11 +259,12 @@ def test_flux_height_resolves_the_ramp_at_any_width(share):
     # the flux whose ramp width is share * sqrt(3) over [1, 4], against
     # panels that double in width from xi* / 64 outward
     hi = math.sqrt(3.0)
-    c = math.sqrt(warp_g(1.0) ** 2 - 2.5 * (share * hi) ** 2)
-    integrand, ramp = rd._flux_integrand_factory(c, 1.0)
+    g = warp_g(1.0)
+    c = math.sqrt(g**2 - 2.5 * (share * hi) ** 2)
+    integrand, ramp = rd._flux_integrand_factory(c, 1.0, (g - c) * (g + c))
     assert ramp == pytest.approx(share * hi, rel=1e-2)  # c is rounded to a float
     cuts = ramp / 64.0 * 2.0 ** np.arange(math.ceil(math.log2(64.0 * hi / ramp)))
-    ref = _gauss_panels(integrand, np.concatenate([[0.0], cuts, [hi]]))
+    ref = _gauss_panels(lambda xi: 2.0 * xi * integrand(xi), np.concatenate([[0.0], cuts, [hi]]))
     assert abs(rd.flux_height_difference(c, 1.0, 4.0, 1e-12) - ref) <= 1e-12
 
 
@@ -294,23 +288,36 @@ def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypat
         r_out, nodes = 4.0, AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
         u_out = (1.0 - 1e-6) * rd.flux_height_difference(warp_g(1.0), 1.0, r_out)
     xi = np.sqrt(nodes - 1.0)
-    quad_calls, flux_calls = [], []
-    quad, height = rd._quad_checked, rd.flux_height_difference
+    quad_calls, fluxes = [], []
+    quad, factory = rd._quad_checked, rd._flux_integrand_factory
     monkeypatch.setattr(rd, "_quad_checked", lambda fn, lo, hi, *a, **k:
                         quad_calls.append((lo, hi)) or quad(fn, lo, hi, *a, **k))
-    monkeypatch.setattr(rd, "flux_height_difference", lambda *a: flux_calls.append(a[0]) or height(*a))
+    monkeypatch.setattr(rd, "_flux_integrand_factory", lambda *a: fluxes.append(a) or factory(*a))
     prof = rd.radial_mse_solve(1.0, r_out, 0.0, u_out, nodes=nodes)
     monkeypatch.undo()
-    # the root-find integrates each nonzero trial flux over the whole range;
-    # the cumulative pass adds only the intervals the 16-point rule misses
-    brentq = [(0.0, math.sqrt(r_out - 1.0))] * sum(c > 0 for c in flux_calls)
+    # the root-find integrates each trial flux over the whole range; the
+    # cumulative pass adds only the intervals the 16-point rule misses
+    root_find = [call for call in quad_calls if call == (0.0, math.sqrt(r_out - 1.0))]
     fallback = [] if case == "exterior" else [(0.0, xi[1])]
-    assert quad_calls == brentq + fallback
+    assert quad_calls == root_find + fallback
+    assert len(root_find) <= 8
     assert prof.bc_residual <= 1e-10
-    # the interval-by-interval loop the pass replaces
-    integrand, ramp = rd._flux_integrand_factory(prof.flux, 1.0)
+    # the interval-by-interval loop the pass replaces, for the flux and neck
+    # gap of the profile
+    integrand, ramp = rd._flux_integrand_factory(*fluxes[-1])
     loop = np.cumsum([rd._flux_quad(integrand, ramp, lo, hi, 1e-12) for lo, hi in zip(xi, xi[1:])])
     assert np.max(np.abs(prof.value[1:] - loop)) <= 1e-15
+
+
+@pytest.mark.parametrize("share", [1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 1e-10, 0.5, 1e-6, 1e-9])
+def test_radial_mse_solve_meets_targets_up_to_the_attainable_height(share):
+    # a root-find on the flux c itself cannot resolve targets just below the
+    # attainable height: one float step of c near g(1) moves the height by
+    # about 1.8e-8 over [1, 4]
+    attain = rd.flux_height_difference(warp_g(1.0), 1.0, 4.0)
+    nodes = AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
+    prof = rd.radial_mse_solve(1.0, 4.0, 0.0, share * attain, tol=1e-10, nodes=nodes)
+    assert prof.bc_residual <= 1e-10
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
@@ -321,6 +328,8 @@ def test_quadrature_tolerance_must_be_finite_and_positive(tol):
     # NoAdmissibleFluxError
     with pytest.raises(ValueError, match="tol"):
         rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        rd.catenoid_profile(rd.CatenoidParams(3.0, 1.0), [1.0, 2.0, 3.0], tol=tol)
     with pytest.raises(ValueError, match="tol"):
         rd.radial_mse_solve(1.0, 3.0, 0.0, 50.0, tol=tol)
     with pytest.raises(ValueError, match="tol"):
