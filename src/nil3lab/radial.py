@@ -151,11 +151,11 @@ def catenoid_profile(
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     t0 = params.t0
-    integrand, ramp = _catenoid_integrand(params, t_nodes[0])
-    lead = [t0] if t_nodes[0] > t0 else []  # heights accumulate from the neck
+    integrand, ramp = _catenoid_integrand(params, t_nodes.min(initial=t0))
+    lead = [t0] if t_nodes.size and t_nodes[0] > t0 else []  # heights accumulate from the neck
     heights, derivs = _flux_profile(integrand, ramp, t0, np.concatenate([lead, t_nodes]), SQRT2 * tol)
-    n = len(t_nodes)
-    return RadialProfile(t_nodes, heights[-n:], derivs[-n:], flux=params.c / (2.0 * SQRT2))
+    k = len(lead)
+    return RadialProfile(t_nodes, heights[k:], derivs[k:], flux=params.c / (2.0 * SQRT2))
 
 
 def catenoid_flux_check(params: CatenoidParams, r: float, tol: float = 1e-13) -> float:
