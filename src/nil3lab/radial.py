@@ -164,7 +164,8 @@ def catenoid_flux_check(params: CatenoidParams, r: float, tol: float = 1e-13) ->
     catenoid_height is the flux integral itself, so this 4th-order central
     difference re-derives the same first integral: the value is constant,
     c/(2 sqrt(2)) (= g(t0) at the minimal neck).  The independent checks of
-    the catenoid are the 3-D mean curvature of its surface.
+    the catenoid are the 3-D mean curvature of its surface and the
+    benchmark's own Gauss-Legendre heights (perfbench/checks.py).
     """
     c, t0 = params.c, params.t0
     if r <= t0:
