@@ -7,11 +7,15 @@ the graph chart (x, y, zeta) -> (x, y, x*y/2 + zeta), whose coordinate frame
 
 The balanced metric at g is the flat inner product on strictly upper
 triangular matrices pulled back through both the left and the right
-translation by g^-1 and then summed.  That defining construction
-(`balanced_metric_from_translations`) and the closed-form coefficients
-(`metric_closed_form`) are implemented independently so each can certify the
-other; the same goes for the connection (`christoffel_closed_form` vs the
-finite-difference Koszul oracle `christoffel_from_metric`).
+translation by g^-1 and then summed.  `balanced_metric_form` implements that
+defining construction once, on arrays of points; the frame metric
+`frame_metric_from_translations`, the inner product
+`balanced_metric_from_translations` and the finite-difference Koszul oracle
+`christoffel_from_metric` all evaluate it.  It and the closed-form
+coefficients (`metric_closed_form`) are implemented independently so each can
+certify the other; the same goes for the connection (`christoffel_closed_form`
+vs `christoffel_from_metric`).  Points and coefficients may hold numpy arrays
+of one shape in place of floats; the functions then broadcast over them.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ __all__ = [
     "IDENTITY",
     "multiply",
     "inverse",
-    "tangent_from_matrix_velocity",
+    "balanced_metric_form",
+    "frame_metric_from_translations",
     "balanced_metric_from_translations",
     "metric_closed_form",
     "christoffel_closed_form",
@@ -50,9 +55,12 @@ class GroupElement:
     z: float
 
     def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[1.0, self.x, self.z], [0.0, 1.0, self.y], [0.0, 0.0, 1.0]]
-        )
+        """The (3, 3) matrix, or (..., 3, 3) when the coordinates are arrays."""
+        x, y, z = np.broadcast_arrays(self.x, self.y, self.z)
+        m = np.zeros(x.shape + (3, 3))
+        m[..., 0, 0] = m[..., 1, 1] = m[..., 2, 2] = 1.0
+        m[..., 0, 1], m[..., 1, 2], m[..., 0, 2] = x, y, z
+        return m
 
     def to_chart(self) -> "ChartPoint":
         return ChartPoint(self.x, self.y, self.z - self.x * self.y / 2.0)
@@ -93,14 +101,7 @@ class TangentVector:
         """
         x, y = self.base.x, self.base.y
         vz = self.a * y / 2.0 + self.b * x / 2.0 + self.c
-        return np.array([self.a, self.b, vz])
-
-
-def tangent_from_matrix_velocity(base: ChartPoint, v) -> TangentVector:
-    """Inverse of :meth:`TangentVector.matrix_velocity` at the given base point."""
-    vx, vy, vz = float(v[0]), float(v[1]), float(v[2])
-    c = vz - (base.y * vx + base.x * vy) / 2.0
-    return TangentVector(base, vx, vy, c)
+        return np.stack(np.broadcast_arrays(self.a, self.b, vz), axis=-1)
 
 
 def multiply(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -130,13 +131,11 @@ class MetricAtPoint:
     eyz: float
 
     def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.exx, self.exy, self.exz],
-                [self.exy, self.eyy, self.eyz],
-                [self.exz, self.eyz, self.ezz],
-            ]
+        """The (3, 3) coefficient matrix, or (..., 3, 3) when the coefficients are arrays."""
+        xx, yy, zz, xy, xz, yz = np.broadcast_arrays(
+            self.exx, self.eyy, self.ezz, self.exy, self.exz, self.eyz
         )
+        return np.stack([xx, xy, xz, xy, yy, yz, xz, yz, zz], axis=-1).reshape(xx.shape + (3, 3))
 
     def inner(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
@@ -152,12 +151,14 @@ class ChristoffelAtPoint:
 
     def apply(self, u, v) -> np.ndarray:
         """Components of nabla contracted with two frame vectors: Gamma^k_{ij} u^i v^j."""
-        return np.einsum("kij,i,j->k", self.gamma, u, v)
+        return np.einsum("...kij,...i,...j->...k", self.gamma, u, v)
 
 
-def _flat_components(m: np.ndarray) -> np.ndarray:
-    # (a, b, c) entries of a strictly upper triangular matrix
-    return np.array([m[0, 1], m[1, 2], m[0, 2]])
+# Strictly upper triangular matrices of the unit matrix velocities (x, y, z),
+# and the (row, column) of each entry, which read the flat components back.
+_ROWS, _COLS = (0, 1, 0), (1, 2, 2)
+_VELOCITY_BASIS = np.zeros((3, 3, 3))
+_VELOCITY_BASIS[(0, 1, 2), _ROWS, _COLS] = 1.0
 
 
 def _check_based_at(g: GroupElement, *vectors: TangentVector) -> None:
@@ -170,26 +171,35 @@ def _check_based_at(g: GroupElement, *vectors: TangentVector) -> None:
             raise ValueError("tangent vector is not based at g (base-point mismatch)")
 
 
+def balanced_metric_form(g: GroupElement) -> np.ndarray:
+    """The balanced metric at g as a form on matrix velocities, from its definition.
+
+    Each unit matrix velocity is pulled back to the identity through the left
+    and through the right translation by g^-1 (exact matrix products), and
+    the two flat inner products are summed.  Returns (3, 3), or (..., 3, 3)
+    when the coordinates of g are arrays.
+    """
+    gi = inverse(g).as_matrix()[..., None, :, :]
+    left = (gi @ _VELOCITY_BASIS)[..., _ROWS, _COLS]
+    right = (_VELOCITY_BASIS @ gi)[..., _ROWS, _COLS]
+    return left @ np.swapaxes(left, -1, -2) + right @ np.swapaxes(right, -1, -2)
+
+
+def frame_metric_from_translations(p: ChartPoint) -> np.ndarray:
+    """`balanced_metric_form` at p on the frame {X, Y, Z}: (3, 3) or (..., 3, 3)."""
+    frame = np.stack([TangentVector(p, *e).matrix_velocity() for e in np.eye(3)], axis=-2)
+    return frame @ balanced_metric_form(p.to_group()) @ np.swapaxes(frame, -1, -2)
+
+
 def balanced_metric_from_translations(
     g: GroupElement, u: TangentVector, v: TangentVector
 ) -> float:
-    """Inner product of u and v at g from the defining construction.
+    """Inner product of u and v at g: `balanced_metric_form` on their matrix velocities.
 
-    Pulls both vectors back to the identity through left and right
-    translation by g^-1 (exact matrix products) and sums the two flat inner
-    products.  Agrees with `metric_closed_form` to machine precision.
+    Agrees with `metric_closed_form` to machine precision.
     """
     _check_based_at(g, u, v)
-    gi = inverse(g).as_matrix()
-
-    def _pullbacks(w: TangentVector):
-        vel = w.matrix_velocity()
-        vm = np.array([[0.0, vel[0], vel[2]], [0.0, 0.0, vel[1]], [0.0, 0.0, 0.0]])
-        return _flat_components(gi @ vm), _flat_components(vm @ gi)
-
-    lu, ru = _pullbacks(u)
-    lv, rv = _pullbacks(v)
-    return float(lu @ lv + ru @ rv)
+    return float(u.matrix_velocity() @ balanced_metric_form(g) @ v.matrix_velocity())
 
 
 def metric_closed_form(p: ChartPoint) -> MetricAtPoint:
@@ -223,45 +233,39 @@ def _christoffel_xy(x: float, y: float) -> tuple[float, float, float, float, flo
 
 
 def christoffel_closed_form(p: ChartPoint) -> ChristoffelAtPoint:
-    """Connection coefficients in closed form.
+    """Connection coefficients in closed form: gamma is (3, 3, 3), or (..., 3, 3, 3).
 
     Every coefficient carrying a Z index vanishes (Z is a parallel field) and
     the whole tensor vanishes at the origin.
     """
-    xxx, yxx, xxy, yxy, xyy, yyy = _christoffel_xy(p.x, p.y)
-    gam = np.zeros((3, 3, 3))
-    gam[0, 0, 0] = xxx
-    gam[1, 0, 0] = yxx
-    gam[0, 0, 1] = gam[0, 1, 0] = xxy
-    gam[1, 0, 1] = gam[1, 1, 0] = yxy
-    gam[0, 1, 1] = xyy
-    gam[1, 1, 1] = yyy
+    xxx, yxx, xxy, yxy, xyy, yyy = np.broadcast_arrays(*_christoffel_xy(p.x, p.y))
+    gam = np.zeros(xxx.shape + (3, 3, 3))
+    gam[..., 0, 0, 0] = xxx
+    gam[..., 1, 0, 0] = yxx
+    gam[..., 0, 0, 1] = gam[..., 0, 1, 0] = xxy
+    gam[..., 1, 0, 1] = gam[..., 1, 1, 0] = yxy
+    gam[..., 0, 1, 1] = xyy
+    gam[..., 1, 1, 1] = yyy
     return ChristoffelAtPoint(gam)
 
 
 def christoffel_from_metric(p: ChartPoint, h: float = 1e-4) -> ChristoffelAtPoint:
-    """Koszul-formula oracle with central finite differences of the metric.
+    """Koszul-formula oracle: central differences of `frame_metric_from_translations`.
 
-    Independent of `christoffel_closed_form`; agreement is O(h^2).
+    Independent of `christoffel_closed_form`; agreement is O(h^2).  gamma is
+    (3, 3, 3), or (..., 3, 3, 3) when the coordinates of p are arrays.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
-
-    def gmat(dx=0.0, dy=0.0, dz=0.0):
-        return metric_closed_form(
-            ChartPoint(p.x + dx, p.y + dy, p.zeta + dz)
-        ).matrix()
-
-    dg = np.zeros((3, 3, 3))  # dg[l] = d g / d coord_l
-    shifts = [(h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h)]
-    for l, sh in enumerate(shifts):
-        dg[l] = (gmat(*sh) - gmat(*[-s for s in sh])) / (2.0 * h)
-
-    ginv = np.linalg.inv(gmat())
+    base = np.stack(np.broadcast_arrays(p.x, p.y, p.zeta), axis=-1)
+    shifted = base[..., None, :] + np.concatenate([h * np.eye(3), -h * np.eye(3)])
+    gm = frame_metric_from_translations(ChartPoint(*np.moveaxis(shifted, -1, 0)))
+    dg = (gm[..., :3, :, :] - gm[..., 3:, :, :]) / (2.0 * h)  # dg[..., l] = d g / d coord_l
+    ginv = np.linalg.inv(frame_metric_from_translations(p))
     gamma = 0.5 * (
-        np.einsum("kl,ilj->kij", ginv, dg)
-        + np.einsum("kl,jli->kij", ginv, dg)
-        - np.einsum("kl,lij->kij", ginv, dg)
+        np.einsum("...kl,...ilj->...kij", ginv, dg)
+        + np.einsum("...kl,...jli->...kij", ginv, dg)
+        - np.einsum("...kl,...lij->...kij", ginv, dg)
     )
     return ChristoffelAtPoint(gamma)
 

@@ -8,6 +8,8 @@ dr^2 + g(r)^2 dtheta^2, and two independent curvature computations.
 Convention: heights along the center line carry a sqrt(2) arc-length factor
 (<Z, Z> = 2).  Solver modules store heights in arc-length units and convert
 to matrix z-offsets only at export time.
+The point maps and `second_fundamental_form_slice` broadcast over points
+whose coordinates are numpy arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .nilcore import (
     ChartPoint,
     GroupElement,
     christoffel_closed_form,
+    christoffel_from_metric,
+    frame_metric_from_translations,
     metric_closed_form,
 )
 
@@ -81,8 +85,7 @@ class PolarCoord:
 
     @staticmethod
     def from_surface_point(p: SurfacePoint) -> "PolarCoord":
-        r = SQRT2 * math.hypot(p.x, p.y)
-        return PolarCoord(r, math.atan2(p.y, p.x) % (2.0 * math.pi))
+        return PolarCoord(distance_to_identity(p), math.atan2(p.y, p.x) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -132,16 +135,16 @@ def geodesic_closed_form(theta: float, t: float) -> GeodesicPoint:
     angle theta + pi/4, so the launch parameter and PolarCoord.theta_pol are
     offset by pi/4.
     """
-    if not (math.isfinite(theta) and math.isfinite(t)):
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(t))):
         raise ValueError("geodesic launch parameter and time must be finite")
-    x = 0.5 * t * (math.cos(theta) - math.sin(theta))
-    y = 0.5 * t * (math.sin(theta) + math.cos(theta))
+    x = 0.5 * t * (np.cos(theta) - np.sin(theta))
+    y = 0.5 * t * (np.sin(theta) + np.cos(theta))
     return GeodesicPoint(SurfacePoint(x, y), x * y / 2.0)
 
 
-def distance_to_identity(p: SurfacePoint) -> float:
+def distance_to_identity(p: SurfacePoint):
     """Geodesic distance from p to the identity: sqrt(2) * sqrt(x^2 + y^2)."""
-    return SQRT2 * math.hypot(p.x, p.y)
+    return SQRT2 * np.hypot(p.x, p.y)
 
 
 def circle_action(theta: float, g: GroupElement) -> GroupElement:
@@ -151,7 +154,7 @@ def circle_action(theta: float, g: GroupElement) -> GroupElement:
     center line pointwise, and satisfies the action law
     A(t1, A(t2, g)) = A(t1 + t2, g).
     """
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     x2 = g.x * c - g.y * s
     y2 = g.x * s + g.y * c
     zeta = g.z - g.x * g.y / 2.0
@@ -273,17 +276,16 @@ def curvature_closed_forms(p: SurfacePoint) -> CurvatureCandidates:
 
 
 def second_fundamental_form_slice(p: SurfacePoint) -> np.ndarray:
-    """Second fundamental form of the slice, unit normal Z/sqrt(2).
+    """Second fundamental form of the slice on {X, Y}: (2, 2), or (..., 2, 2).
 
-    Computed honestly from the connection coefficients; vanishes identically,
-    which is exactly the totally geodesic property.
+    II_ij = Gamma^Z_ij / sqrt(g^ZZ): the unit normal of {zeta = 0} is
+    grad(zeta) / |grad(zeta)|, with Gamma from the Koszul oracle
+    `christoffel_from_metric` and g^ZZ from the inverse of
+    `frame_metric_from_translations`.  So it measures the defining
+    construction of the metric, and vanishes exactly when the slice is
+    totally geodesic.
     """
-    gam = christoffel_closed_form(p.to_chart()).gamma
-    met = metric_closed_form(p.to_chart())
-    nvec = np.array([0.0, 0.0, 1.0 / SQRT2])
-    out = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            cov = gam[:, i, j]
-            out[i, j] = met.inner(cov, nvec)
-    return out
+    q = p.to_chart()
+    gam = christoffel_from_metric(q).gamma
+    gzz = np.linalg.inv(frame_metric_from_translations(q))[..., 2, 2]
+    return gam[..., 2, :2, :2] / np.sqrt(gzz)[..., None, None]

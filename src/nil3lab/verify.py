@@ -8,10 +8,13 @@ code, so solver output can be validated against it without circularity.
 `run_claim_checks` re-verifies the structural claims about the geometry
 (totally geodesic slice, product splitting, circle-action isometry, radial
 geodesics and the distance formula, the curvature profile, catenoid
-minimality) and emits one report entry per claim.  "discrepancy" is a
-first-class verdict distinct from "fail": it marks the curvature constant
-whose doubled closed-form candidate is inconsistent with the connection
-data, as established by two agreeing independent oracles.
+minimality) and emits one report entry per claim; the slice, splitting,
+circle-action and radial-geodesic checks each take all their sample points in
+one array, and `balanced_gram` evaluates `nilcore.balanced_metric_form`, the
+defining construction of the metric, in one batched product.  "discrepancy"
+is a first-class verdict distinct from "fail": it marks the curvature
+constant whose doubled closed-form candidate is inconsistent with the
+connection data, as established by two agreeing independent oracles.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .nilcore import (
     ChartPoint,
     GroupElement,
     TangentVector,
-    balanced_metric_from_translations,
+    balanced_metric_form,
     christoffel_closed_form,
     integrate_geodesic,
     metric_closed_form,
-    tangent_from_matrix_velocity,
 )
 from . import surface as sf
 from .radial import CatenoidParams, catenoid_height, t0_min
@@ -191,7 +193,10 @@ def catenoid_sample(
 
 @dataclass
 class ClaimReport:
-    """One verified claim: identifier, statement, verdict, measured values, tolerance."""
+    """One verified claim: identifier, statement, verdict, measured values, tolerance.
+
+    The values and the tolerance are stored as plain Python floats.
+    """
 
     claim_id: str
     statement: str
@@ -199,41 +204,42 @@ class ClaimReport:
     values: dict
     tolerance: float
 
+    def __post_init__(self):
+        self.values = {k: float(v) for k, v in self.values.items()}
+        self.tolerance = float(self.tolerance)
 
-def fd_pushforward(fn, q, vel, h=1e-3):
-    """Differential of a map R^3 -> Nil3 at q along vel, by central differences.
 
-    fn takes a coordinate 3-vector and returns a GroupElement; the result is
-    the matrix velocity (dx, dy, dz) of the image curve.
+def fd_pushforward(fn, q, vels, h=1e-3) -> np.ndarray:
+    """Differential of a map R^3 -> Nil3 at the points q along each row of vels.
+
+    fn takes an (..., 3) array of coordinates and returns a GroupElement with
+    coordinates of shape (...); q is (..., 3) and vels (k, 3).  Central
+    differences, one pair of map evaluations per direction.  Returns the
+    matrix velocities (dx, dy, dz) of the image curves, shape (..., k, 3).
     """
     q = np.asarray(q, dtype=float)
-    step = h * np.asarray(vel, dtype=float)
-    gp = fn(q + step)
-    gm = fn(q - step)
-    return np.array([gp.x - gm.x, gp.y - gm.y, gp.z - gm.z]) / (2.0 * h)
+    cols = []
+    for vel in np.asarray(vels, dtype=float):
+        gp = fn(q + h * vel)
+        gm = fn(q - h * vel)
+        cols.append(np.stack([gp.x - gm.x, gp.y - gm.y, gp.z - gm.z], axis=-1) / (2.0 * h))
+    return np.stack(cols, axis=-2)
 
 
 def balanced_gram(g: GroupElement, vels) -> np.ndarray:
-    """Gram matrix of matrix-velocity vectors at g under the balanced metric.
+    """Gram matrices of matrix velocities at g under the balanced metric.
 
-    One `balanced_metric_from_translations` call per upper-triangle entry;
-    the lower triangle is mirrored.
+    vels (..., k, 3) holds k velocities at each point of g, or one (k, 3)
+    set for every point; the result is (..., k, k), one batched product with
+    `balanced_metric_form`.
     """
-    base = g.to_chart()
-    tans = [tangent_from_matrix_velocity(base, v) for v in vels]
-    gram = np.empty((len(tans), len(tans)))
-    for i, ta in enumerate(tans):
-        for j in range(i, len(tans)):
-            gram[i, j] = gram[j, i] = balanced_metric_from_translations(g, ta, tans[j])
-    return gram
+    vels = np.asarray(vels, dtype=float)
+    return vels @ balanced_metric_form(g) @ np.swapaxes(vels, -1, -2)
 
 
 def _check_totally_geodesic(tol_ii, tol_zeta, rng):
-    worst_ii = 0.0
-    for _ in range(100):
-        x, y = rng.uniform(-4.0, 4.0, size=2)
-        ii = sf.second_fundamental_form_slice(sf.SurfacePoint(x, y))
-        worst_ii = max(worst_ii, float(np.max(np.abs(ii))))
+    x, y = rng.uniform(-4.0, 4.0, size=(100, 2)).T
+    worst_ii = np.max(np.abs(sf.second_fundamental_form_slice(sf.SurfacePoint(x, y))))
     worst_zeta = 0.0
     for ang in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
         v0 = TangentVector(ChartPoint(0.0, 0.0, 0.0), math.cos(ang) / SQRT2,
@@ -251,24 +257,14 @@ def _check_totally_geodesic(tol_ii, tol_zeta, rng):
 
 
 def _splitting(q) -> GroupElement:
-    return sf.splitting_isometry(sf.SurfacePoint(q[0], q[1]), sf.CenterElement(q[2]))
+    return sf.splitting_isometry(sf.SurfacePoint(q[..., 0], q[..., 1]), sf.CenterElement(q[..., 2]))
 
 
 def _check_splitting(tol, rng):
-    worst = 0.0
-    for _ in range(100):
-        q = rng.uniform(-4.0, 4.0, size=3)
-        met = metric_closed_form(ChartPoint(q[0], q[1], 0.0))
-        block = np.array(
-            [
-                [met.exx, met.exy, 0.0],
-                [met.exy, met.eyy, 0.0],
-                [0.0, 0.0, 2.0],
-            ]
-        )
-        cols = [fd_pushforward(_splitting, q, e) for e in np.eye(3)]
-        pulled = balanced_gram(_splitting(q), cols)
-        worst = max(worst, float(np.max(np.abs(pulled - block))))
+    q = rng.uniform(-4.0, 4.0, size=(100, 3))
+    block = metric_closed_form(ChartPoint(q[:, 0], q[:, 1], 0.0)).matrix()
+    pulled = balanced_gram(_splitting(q), fd_pushforward(_splitting, q, np.eye(3)))
+    worst = np.max(np.abs(pulled - block))
     return ClaimReport(
         "product-splitting",
         "the splitting map onto (slice) x (center) pulls the metric back to the product metric",
@@ -279,31 +275,24 @@ def _check_splitting(tol, rng):
 
 
 def _check_circle_action(tol, rng):
-    worst_iso = 0.0
-    worst_zeta = 0.0
-    worst_center = 0.0
+    # the same draws, in the same order, as one sample at a time
+    draws = rng.uniform([-3.0, -3.0, -3.0, 0.0], [3.0, 3.0, 3.0, 2.0 * math.pi], size=(60, 4))
+    q, ang = draws[:, :3], draws[:, 3]
     frame = np.eye(3)
-    for _ in range(60):
-        q = rng.uniform(-3.0, 3.0, size=3)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
 
-        def rotate(qq):
-            return sf.circle_action(ang, GroupElement(*qq))
+    def rotate(qq):
+        return sf.circle_action(ang, GroupElement(*np.moveaxis(qq, -1, 0)))
 
-        pushed = [fd_pushforward(rotate, q, e) for e in frame]
-        defect = balanced_gram(rotate(q), pushed) - balanced_gram(GroupElement(*q), frame)
-        worst_iso = max(worst_iso, float(np.max(np.abs(defect))))
-    for _ in range(40):
-        x, y = rng.uniform(-4.0, 4.0, size=2)
-        ang = rng.uniform(0.0, 2.0 * math.pi)
-        g = sf.SurfacePoint(x, y).to_group()
-        img = sf.circle_action(ang, g)
-        worst_zeta = max(worst_zeta, abs(img.z - img.x * img.y / 2.0))
-        gc = GroupElement(0.0, 0.0, rng.uniform(-5.0, 5.0))
-        imgc = sf.circle_action(ang, gc)
-        worst_center = max(
-            worst_center, abs(imgc.x), abs(imgc.y), abs(imgc.z - gc.z)
-        )
+    defect = (balanced_gram(rotate(q), fd_pushforward(rotate, q, frame))
+              - balanced_gram(GroupElement(*q.T), frame))
+    worst_iso = np.max(np.abs(defect))
+
+    x, y, ang, zc = rng.uniform([-4.0, -4.0, 0.0, -5.0], [4.0, 4.0, 2.0 * math.pi, 5.0],
+                                size=(40, 4)).T
+    img = sf.circle_action(ang, sf.SurfacePoint(x, y).to_group())
+    worst_zeta = np.max(np.abs(img.z - img.x * img.y / 2.0))
+    imgc = sf.circle_action(ang, GroupElement(0.0, 0.0, zc))
+    worst_center = np.max(np.abs([imgc.x, imgc.y, imgc.z - zc]))
     ok = worst_iso <= tol and worst_zeta == 0.0 and worst_center == 0.0
     return ClaimReport(
         "circle-action-isometry",
@@ -319,21 +308,14 @@ def _check_circle_action(tol, rng):
 
 
 def _check_radial_geodesics(tol_residual, tol_distance):
-    worst_res = 0.0
-    worst_dist = 0.0
-    for ang in np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False):
-        vdir = np.array(
-            [(math.cos(ang) - math.sin(ang)) / 2.0, (math.sin(ang) + math.cos(ang)) / 2.0, 0.0]
-        )
-        for t in np.linspace(0.0, 10.0, 50):
-            gp = sf.geodesic_closed_form(ang, t)
-            pt = ChartPoint(gp.point.x, gp.point.y, 0.0)
-            gam = christoffel_closed_form(pt)
-            res = gam.apply(vdir, vdir)
-            worst_res = max(worst_res, float(np.max(np.abs(res))))
-            worst_dist = max(
-                worst_dist, abs(sf.distance_to_identity(gp.point) - abs(t))
-            )
+    ang = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)[:, None]
+    t = np.linspace(0.0, 10.0, 50)
+    unit = sf.geodesic_closed_form(ang, 1.0).point  # the velocity: the curves are linear in t
+    vdir = np.stack(np.broadcast_arrays(unit.x, unit.y, 0.0), axis=-1)
+    gp = sf.geodesic_closed_form(ang, t)
+    gam = christoffel_closed_form(ChartPoint(gp.point.x, gp.point.y, 0.0))
+    worst_res = np.max(np.abs(gam.apply(vdir, vdir)))
+    worst_dist = np.max(np.abs(sf.distance_to_identity(gp.point) - np.abs(t)))
     # closed form against the numeric integrator at t = 1
     v0 = TangentVector(ChartPoint(0.0, 0.0, 0.0), 0.5, 0.5, 0.0)
     path = integrate_geodesic(ChartPoint(0.0, 0.0, 0.0), v0, 1.0, 1000)
@@ -415,11 +397,13 @@ _DEFAULT_TOLS = {
 def run_claim_checks(tolerance: float | None = None) -> list[ClaimReport]:
     """Run every structural claim check and return one report per claim.
 
-    A uniform tolerance override, finite and positive, replaces the per-claim
-    defaults; results are deterministic (fixed random seed, fixed sample
-    layout).  The acceptance suite asserts its own pinned tolerances on the
-    `values` of these reports, so this is the one implementation of each
-    geometric claim.
+    A uniform tolerance override, finite and positive, replaces each claim's
+    primary bound (its reported `tolerance`).  The secondary bounds stay
+    fixed: zeta drift 1e-8, distance defect 1e-12, catenoid neck identity
+    1e-10 and integrator endpoint error 1e-8.  Results are deterministic
+    (fixed random seed, fixed sample layout).  The acceptance suite asserts
+    its own pinned tolerances on the `values` of these reports, so this is
+    the one implementation of each geometric claim.
     """
     tols = dict(_DEFAULT_TOLS)
     if tolerance is not None:

@@ -10,16 +10,17 @@ from nil3lab.nilcore import (
     GroupElement,
     IDENTITY,
     TangentVector,
+    balanced_metric_form,
     balanced_metric_from_translations,
     christoffel_closed_form,
     christoffel_from_metric,
+    frame_metric_from_translations,
     frame_norm,
     geodesic_ode_rhs,
     integrate_geodesic,
     inverse,
     metric_closed_form,
     multiply,
-    tangent_from_matrix_velocity,
 )
 
 coords = st.floats(-20, 20, allow_nan=False, allow_infinity=False)
@@ -134,6 +135,23 @@ def test_metric_equivalence_on_grid():
                     )
                     worst = max(worst, abs(val - closed[i, j]))
     assert worst <= 1e-10
+
+
+def test_construction_broadcasts_over_points():
+    rng = np.random.default_rng(8)
+    x, y, z = rng.uniform(-4, 4, size=(3, 12))
+    form = balanced_metric_form(GroupElement(x, y, z))
+    assert form.shape == (12, 3, 3)
+    frame = frame_metric_from_translations(ChartPoint(x, y, z))
+    closed = metric_closed_form(ChartPoint(x, y, z)).matrix()
+    assert frame.shape == closed.shape == (12, 3, 3)
+    assert np.max(np.abs(frame - closed)) <= 1e-12
+    gamma = christoffel_from_metric(ChartPoint(x, y, z)).gamma
+    assert gamma.shape == (12, 3, 3, 3)
+    for k in range(12):
+        assert np.array_equal(form[k], balanced_metric_form(GroupElement(x[k], y[k], z[k])))
+        one = christoffel_from_metric(ChartPoint(x[k], y[k], z[k])).gamma
+        assert np.max(np.abs(gamma[k] - one)) <= 1e-12
 
 
 def test_metric_closed_form_examples():
@@ -327,10 +345,3 @@ def test_diagonal_unit_speed():
         p = ChartPoint(t / 2, t / 2, 0.0)
         assert abs(frame_norm(p, [0.5, 0.5, 0.0]) - 1.0) <= 1e-12
 
-
-def test_tangent_matrix_velocity_round_trip():
-    p = ChartPoint(1.3, -0.2, 0.5)
-    v = TangentVector(p, 0.7, -1.1, 0.4)
-    w = tangent_from_matrix_velocity(p, v.matrix_velocity())
-    assert (w.a, w.b) == (v.a, v.b)
-    assert w.c == pytest.approx(v.c, abs=1e-15)

@@ -119,20 +119,43 @@ def test_circle_action_preserves_slice_exactly():
         assert img.z - img.x * img.y / 2.0 == 0.0
 
 
+def _rotate_by(ang):
+    # the circle action by the angles ang on an (..., 3) array of matrix coordinates
+    return lambda qq: sf.circle_action(ang, GroupElement(*np.moveaxis(qq, -1, 0)))
+
+
 def test_circle_action_isometry():
     rng = np.random.default_rng(12)
+    draws = rng.uniform([-3, -3, -3, 0], [3, 3, 3, 2 * math.pi], size=(10, 4))
+    q, ang = draws[:, :3], draws[:, 3]
+    rotate = _rotate_by(ang)
     frame = np.eye(3)
-    for _ in range(10):
-        q = rng.uniform(-3, 3, size=3)
-        ang = rng.uniform(0, 2 * math.pi)
+    before = balanced_gram(GroupElement(*q.T), frame)
+    after = balanced_gram(rotate(q), fd_pushforward(rotate, q, frame))
+    assert after.shape == before.shape == (10, 3, 3)
+    assert np.max(np.abs(after - before)) <= 1e-8
 
-        def rotate(qq):
-            return sf.circle_action(ang, GroupElement(*qq))
 
-        pushed = [fd_pushforward(rotate, q, e) for e in frame]
-        before = balanced_gram(GroupElement(*q), frame)
-        after = balanced_gram(rotate(q), pushed)
-        assert np.max(np.abs(after - before)) <= 1e-8
+def test_point_maps_broadcast_like_their_scalar_forms():
+    rng = np.random.default_rng(14)
+    x, y, z, ang, t = rng.uniform(-4, 4, size=(5, 20))
+    img = sf.circle_action(ang, GroupElement(x, y, z))
+    split = sf.splitting_isometry(sf.SurfacePoint(x, y), sf.CenterElement(z))
+    geo = sf.geodesic_closed_form(ang, t)
+    for k in range(20):
+        one = sf.circle_action(ang[k], GroupElement(x[k], y[k], z[k]))
+        assert (one.x, one.y, one.z) == (img.x[k], img.y[k], img.z[k])
+        one = sf.splitting_isometry(sf.SurfacePoint(x[k], y[k]), sf.CenterElement(z[k]))
+        assert (one.x, one.y, one.z) == (split.x[k], split.y[k], split.z[k])
+        one = sf.geodesic_closed_form(ang[k], t[k])
+        assert (one.point.x, one.point.y, one.z) == (geo.point.x[k], geo.point.y[k], geo.z[k])
+    # zeta kept bit for bit: 0 on the slice, the height itself on the center line
+    on_slice = sf.circle_action(ang, sf.SurfacePoint(x, y).to_group())
+    assert np.all(on_slice.z - on_slice.x * on_slice.y / 2.0 == 0.0)
+    center = sf.circle_action(ang, GroupElement(0.0, 0.0, z))
+    assert np.all(center.x == 0.0) and np.all(center.y == 0.0) and np.all(center.z == z)
+    with pytest.raises(ValueError, match="finite"):
+        sf.geodesic_closed_form(ang, np.where(t > 0, t, math.nan))
 
 
 def test_splitting_examples_and_inverse():
@@ -156,17 +179,17 @@ def test_splitting_pullback_is_product_metric():
     from nil3lab.nilcore import metric_closed_form
 
     def psi(q):
-        return sf.splitting_isometry(sf.SurfacePoint(q[0], q[1]), sf.CenterElement(q[2]))
+        return sf.splitting_isometry(
+            sf.SurfacePoint(q[..., 0], q[..., 1]), sf.CenterElement(q[..., 2])
+        )
 
     rng = np.random.default_rng(13)
-    for _ in range(15):
-        q = rng.uniform(-4, 4, size=3)
-        met = metric_closed_form(ChartPoint(q[0], q[1], 0.0))
-        block = np.array(
-            [[met.exx, met.exy, 0.0], [met.exy, met.eyy, 0.0], [0.0, 0.0, 2.0]]
-        )
-        cols = [fd_pushforward(psi, q, e) for e in np.eye(3)]
-        assert np.max(np.abs(balanced_gram(psi(q), cols) - block)) <= 1e-10
+    q = rng.uniform(-4, 4, size=(15, 3))
+    block = metric_closed_form(ChartPoint(q[:, 0], q[:, 1], 0.0)).matrix()
+    pulled = balanced_gram(psi(q), fd_pushforward(psi, q, np.eye(3)))
+    assert pulled.shape == block.shape == (15, 3, 3)
+    assert np.all(block[:, 2] == [0.0, 0.0, 2.0])
+    assert np.max(np.abs(pulled - block)) <= 1e-10
 
 
 def test_center_arc_length():
@@ -256,8 +279,9 @@ def test_curvature_closed_form_candidates():
 
 
 def test_second_fundamental_form_vanishes():
-    for p in (sf.SurfacePoint(0, 0), sf.SurfacePoint(1, 1), sf.SurfacePoint(-3, 2)):
-        assert np.max(np.abs(sf.second_fundamental_form_slice(p))) <= 1e-10
+    ii = sf.second_fundamental_form_slice(sf.SurfacePoint(np.array([0, 1, -3]), np.array([0, 1, 2])))
+    assert ii.shape == (3, 2, 2)
+    assert np.max(np.abs(ii)) <= 1e-10
 
 
 def test_geodesic_closed_form_solves_ode():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nil3lab import nilcore
 from nil3lab import radial as rd
 from nil3lab import solver as sv
+from nil3lab import surface as sf
 from nil3lab import verify as vf
 from nil3lab.nilcore import ChartPoint, christoffel_closed_form, metric_closed_form
 
@@ -155,6 +157,26 @@ def test_claim_reports_structure_and_determinism():
         assert a.values == b.values
 
 
+def _left_invariant_form(g):
+    # the left pullback of the construction alone: the left-invariant metric
+    gi = nilcore.inverse(g).as_matrix()[..., None, :, :]
+    left = (gi @ nilcore._VELOCITY_BASIS)[..., (0, 1, 0), (1, 2, 2)]
+    return left @ np.swapaxes(left, -1, -2)
+
+
+def test_totally_geodesic_check_fails_without_the_right_pullback(monkeypatch):
+    # under the left-invariant metric the slice zeta = 0 is not totally
+    # geodesic, so criterion 3 must see the mutation of the construction
+    x, y = np.random.default_rng(21).uniform(-4, 4, size=(2, 50))
+    points = sf.SurfacePoint(x, y)
+    assert np.max(np.abs(sf.second_fundamental_form_slice(points))) <= 1e-10
+    monkeypatch.setattr(nilcore, "balanced_metric_form", _left_invariant_form)
+    assert np.max(np.abs(sf.second_fundamental_form_slice(points))) > 1e-3
+    report = {r.claim_id: r for r in vf.run_claim_checks()}["totally-geodesic-slice"]
+    assert report.verdict == "fail"
+    assert report.values["max_second_fundamental_form"] > 1e-3
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
 def test_claim_checks_reject_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
@@ -171,3 +193,16 @@ def test_claims_serialization():
     assert len(payload) == 6
     for entry in payload:
         assert set(entry) == {"id", "locus", "verdict", "values", "tolerance"}
+
+
+def test_claim_values_are_plain_floats():
+    import json
+
+    reports = vf.run_claim_checks()
+    for r in reports:
+        assert type(r.tolerance) is float
+        assert all(type(v) is float for v in r.values.values())
+    payload = json.loads(vf.claims_to_json(reports))
+    for r, entry in zip(reports, payload):
+        assert entry["values"] == r.values
+        assert entry["tolerance"] == r.tolerance
