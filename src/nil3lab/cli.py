@@ -59,12 +59,8 @@ def _solver_config(args) -> solver.SolverConfig:
 def _cmd_geodesic(args) -> int:
     _echo_config(args)
     gp = surface.geodesic_closed_form(args.theta, args.t)
-    v0 = TangentVector(
-        ChartPoint(0.0, 0.0, 0.0),
-        (math.cos(args.theta) - math.sin(args.theta)) / 2.0,
-        (math.sin(args.theta) + math.cos(args.theta)) / 2.0,
-        0.0,
-    )
+    unit = surface.geodesic_closed_form(args.theta, 1.0).point  # the launch velocity
+    v0 = TangentVector(ChartPoint(0.0, 0.0, 0.0), unit.x, unit.y, 0.0)
     path = integrate_geodesic(ChartPoint(0.0, 0.0, 0.0), v0, args.t, args.steps)
     x, y, zeta = path[-1, :3]
     err = max(abs(x - gp.point.x), abs(y - gp.point.y), abs(zeta))

@@ -236,35 +236,31 @@ def barrier_fprime(params: BarrierParams, r):
     return float(out) if r.ndim == 0 else out
 
 
-def barrier_f(params: BarrierParams, r: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Barrier value and derivative at r >= 0; f(0) = 0 exactly.
+def barrier_f(params: BarrierParams, r):
+    """Barrier value f(r) and derivative f'(r) at radii r >= 0, scalar or array.
 
-    Integrates the closed-form f' adaptively, splitting very long ranges so
-    the slowly decaying tail does not defeat the quadrature.
+    f' has an elementary antiderivative: with w = (r + a) / (2 sqrt(2)),
+    d/dr e^{sqrt(2) a atan w} = 4 a e^{sqrt(2) a atan w} / ((r + a)^2 + 8), so
+
+        f(r) = s (a^2 + 8) / (4 a) expm1(sqrt(2) a atan(2 sqrt(2) r / (8 + a (r + a)))),
+
+    the atan being atan w(r) - atan w(0) in a form that does not cancel.
+    f(0) = 0 exactly, and f = 0 exactly when s = 0.
     """
-    if r < 0:
-        raise ValueError("barrier radius must be nonnegative")
-    fp = barrier_fprime(params, r)
-    if r == 0 or params.s == 0:
-        return 0.0, fp
-    cuts = [x for x in (30.0, 1e3, 1e5) if x < r]
-    return float(barrier_profile(params, [0.0, *cuts, r], tol).value[-1]), fp
+    r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValueError("barrier radius must be finite and nonnegative")
+    a = params.alpha
+    # 2 sqrt(2) r / (8 + a bigr), divided through by bigr so that it cannot overflow
+    bigr = r + a
+    angle = np.arctan(2.0 * SQRT2 * (r / bigr) / (a + 8.0 / bigr))
+    f = params.s * (a * a + 8.0) / (4.0 * a) * np.expm1(SQRT2 * a * angle)
+    return (float(f) if r.ndim == 0 else f), barrier_fprime(params, r)
 
 
-def barrier_profile(params: BarrierParams, r_nodes, tol: float = 1e-12) -> RadialProfile:
-    """Barrier sampled on increasing nodes (cumulative quadrature)."""
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    vals = np.empty_like(r_nodes)
-    acc = 0.0
-    prev = 0.0
-    for i, rr in enumerate(r_nodes):
-        if rr > prev:
-            acc += _quad_checked(
-                lambda t: barrier_fprime(params, t), prev, rr, tol, "barrier"
-            )
-            prev = rr
-        vals[i] = acc
-    return RadialProfile(r_nodes, vals, barrier_fprime(params, r_nodes))
+def barrier_profile(params: BarrierParams, r_nodes) -> RadialProfile:
+    """Barrier sampled on strictly increasing nodes r >= 0."""
+    return RadialProfile(r_nodes, *barrier_f(params, r_nodes))
 
 
 def barrier_sup_bound(params: BarrierParams) -> float:

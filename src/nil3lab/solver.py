@@ -203,6 +203,12 @@ class SolverConfig:
         for f in fields(self):
             if not np.all(np.isfinite(getattr(self, f.name))):
                 raise ValueError(f"{f.name} must be finite")
+        # sizes feed range and linspace, and to_lines must write them as from_file reads them
+        for name in ("max_newton", "n_r", "n_theta"):
+            val = getattr(self, name)
+            if not float(val).is_integer():
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            setattr(self, name, int(val))
         if self.newton_tol <= 0 or self.bisection_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_newton < 1:
@@ -750,17 +756,22 @@ class ExteriorSolution:
         return self.fields[-1]
 
 
-def _compact_sup_diff(grid_a, u_a, grid_b, u_b, r_lo, r_hi) -> float:
-    """Sup of |u_a - u_b| over the window [r_lo, r_hi], fields on different radial grids.
+def _consecutive_sup_diffs(grids, fields, r_lo, r_hi) -> list:
+    """Sup of |u_k - u_{k+1}| over the window [r_lo, r_hi] for each field and the next.
 
-    The window must hold a node of grid_a; the callers check that before solving.
+    Each field is compared at its own nodes in the window with the next one,
+    interpolated in r along every angle.  The window must hold a node of each
+    grid but the last; the callers check that before solving.
     """
-    mask = (grid_a.r >= r_lo) & (grid_a.r <= r_hi)
-    radii = grid_a.r[mask]
-    interp = np.empty((mask.sum(), u_b.shape[1]))
-    for j in range(u_b.shape[1]):
-        interp[:, j] = np.interp(radii, grid_b.r, u_b[:, j])
-    return float(np.max(np.abs(u_a[mask] - interp)))
+    diffs = []
+    for grid_a, u_a, grid_b, u_b in zip(grids, fields, grids[1:], fields[1:]):
+        mask = (grid_a.r >= r_lo) & (grid_a.r <= r_hi)
+        radii = grid_a.r[mask]
+        interp = np.empty((mask.sum(), u_b.shape[1]))
+        for j in range(u_b.shape[1]):
+            interp[:, j] = np.interp(radii, grid_b.r, u_b[:, j])
+        diffs.append(float(np.max(np.abs(u_a[mask] - interp))))
+    return diffs
 
 
 def _radial_flux_prediction(s: float, r0: float, m: float) -> float:
@@ -793,7 +804,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     if cfg.schedule[0] <= r0:
         raise ValueError("schedule radii must exceed r0")
 
-    barrier = BarrierParams(s=s, alpha=r0) if s > 0 else None
+    barrier = BarrierParams(s=s, alpha=r0)
     schedule = list(cfg.schedule)
     grids = [AnnulusGrid.annulus(r0, m, cfg.n_r, cfg.n_theta, cfg.grading) for m in schedule]
     # each field but the last is compared with the next one at its own nodes
@@ -805,13 +816,11 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
                 f"Cauchy window [{window[0]:g}, {window[1]:g}] holds no node of the "
                 f"m={grid.r[-1]:g} grid"
             )
-    t_trace, caps, grads, fields, cauchy = [], [], [], [], []
+    t_trace, caps, grads, fields = [], [], [], []
     prev_t = 0.0
-    prev_grid = None
-    prev_field = None
 
     for m, grid in zip(schedule, grids):
-        cap = barrier_f(barrier, m - r0)[0] if barrier is not None else 0.0
+        cap = barrier_f(barrier, m - r0)[0]
 
         if s == 0:
             u = np.zeros(grid.shape)
@@ -846,15 +855,11 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             t_m = t
 
         logger.info("exterior m=%g: t_m=%.8g cap=%.8g gradient=%.6g", m, t_m, cap, grad)
-        if prev_field is not None:
-            cauchy.append(
-                _compact_sup_diff(prev_grid, prev_field, grid, u, *window)
-            )
         t_trace.append(t_m)
         caps.append(cap)
         grads.append(grad)
         fields.append(u)
-        prev_t, prev_grid, prev_field = t_m, grid, u
+        prev_t = t_m
 
     return ExteriorSolution(
         s=s,
@@ -865,7 +870,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
         boundary_gradients=grads,
         grids=grids,
         fields=fields,
-        cauchy=cauchy,
+        cauchy=_consecutive_sup_diffs(grids, fields, *window),
     )
 
 
@@ -908,11 +913,7 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
         logger.info("asymptotic R=%g: range [%.6g, %.6g]", rad, u.min(), u.max())
         grids.append(grid)
         fields.append(u)
-    sup_diffs = [
-        _compact_sup_diff(grids[k], fields[k], grids[k + 1], fields[k + 1],
-                          grids[0].r[0], cfg.compact_rmax)
-        for k in range(len(radii) - 1)
-    ]
+    sup_diffs = _consecutive_sup_diffs(grids, fields, grids[0].r[0], cfg.compact_rmax)
     return AsymptoticSolution(radii, grids, fields, sup_diffs, cfg.compact_rmax)
 
 

@@ -279,7 +279,8 @@ def test_cli_exterior_small(tmp_path, capsys):
 
 
 def test_cli_exterior_barrier_past_first_cut(capsys):
-    # the m = 32 cap integrates past the barrier's first cut at r = 30
+    # the caps are the closed-form barrier at r = m - r0 = 2 and 30; the
+    # m = 32 one lies out on its slowly decaying tail
     code = main(["exterior", "--s", "1", "--r0", "2", "--schedule", "4,32",
                  "--n-r", "33", "--n-theta", "16"])
     assert code == 0
@@ -451,7 +452,7 @@ print(loaded())
 solver.asymptotic_solve(surface.BoundaryData.cosine(1.0),
                         solver.SolverConfig(n_r=33, n_theta=16), radii=(8.0,))
 print(loaded())
-radial.barrier_f(radial.BarrierParams(1.0, 1.0), 2.0)
+radial.flux_height_difference(1.0, 1.0, 2.0)
 print(loaded())
 """
 
@@ -464,8 +465,8 @@ def test_import_loads_quadrature_root_finder_and_spline_on_first_use():
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    after_import, after_solve, after_barrier = map(json.loads, out.splitlines())
+    after_import, after_solve, after_flux = map(json.loads, out.splitlines())
     assert after_import == []
     assert after_solve == []
     # scipy.integrate pulls in scipy.optimize itself
-    assert "scipy.integrate" in after_barrier
+    assert "scipy.integrate" in after_flux

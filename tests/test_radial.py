@@ -139,6 +139,14 @@ def test_barrier_normalization():
                      (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValueError):
             rd.BarrierParams(s, alpha)
+    # a negative or non-finite radius is refused, also one node of a profile
+    params = rd.BarrierParams(1.0, 1.0)
+    for r in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            rd.barrier_f(params, r)
+    for nodes in ([-1.0, 0.0, 1.0], [0.0, math.nan], [0.0, 1.0, math.inf]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            rd.barrier_profile(params, nodes)
 
 
 def test_barrier_ode_residual():
@@ -162,12 +170,46 @@ def test_barrier_bounded_and_monotone():
 
 @pytest.mark.parametrize("r", [30.0, 32.0])
 def test_barrier_value_for_r0_2(r):
-    # quad meets its relative target here with an error estimate (1.5e-12 on
-    # a value near 16) above the absolute tol 1e-12; the value is still good
+    # alpha = r0 = 2 around the m = 32 cap at r = m - r0 = 30: the closed
+    # form against Gauss-Legendre panels of f'
     params = rd.BarrierParams(1.0, 2.0)
     val, _ = rd.barrier_f(params, r)
     ref = _gauss_panels(lambda x: rd.barrier_fprime(params, x), np.linspace(0.0, r, 41))
     assert abs(val - ref) <= 1e-10 * ref
+
+
+def test_barrier_closed_form_matches_quadrature_and_its_derivative():
+    from scipy.integrate import quad
+
+    def reference(params, r):
+        # adaptive quadrature of f', split so the slowly decaying tail is reached
+        edges = [0.0, *(x for x in (30.0, 1e3, 1e5) if x < r), r]
+        return sum(
+            quad(lambda t: rd.barrier_fprime(params, t), lo, hi, epsabs=0.0,
+                 epsrel=2e-14, limit=300)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        )
+
+    for s in (0.5, 1.0, 3.0):
+        for alpha in (0.3, 1.0, 5.0):
+            params = rd.BarrierParams(s, alpha)
+            for r in (1e-3, 1.0, 31.0, 1e3, 1e6):
+                f, fp = rd.barrier_f(params, r)
+                ref = reference(params, r)
+                assert abs(f - ref) <= 1e-13 * ref
+                if r > 1e3:
+                    # f'/f is about 1e-12 here, so the rounding of f alone
+                    # puts any difference quotient 1e-8 off
+                    continue
+                step = 1e-3 * r
+                fd = (-rd.barrier_f(params, r + 2 * step)[0] + 8 * rd.barrier_f(params, r + step)[0]
+                      - 8 * rd.barrier_f(params, r - step)[0]
+                      + rd.barrier_f(params, r - 2 * step)[0]) / (12.0 * step)
+                assert abs(fd - fp) <= 1e-9 * fp
+            # f has no intermediate overflow at the largest float radius
+            # (f' there is 0 through an overflowing square)
+            with np.errstate(over="ignore"):
+                assert 0 < rd.barrier_f(params, 1.7e308)[0] <= rd.barrier_sup_bound(params)
 
 
 def test_curvature_bound_margin():
@@ -334,10 +376,6 @@ def test_quadrature_tolerance_must_be_finite_and_positive(tol):
         rd.radial_mse_solve(1.0, 3.0, 0.0, 50.0, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         rd.flux_height_difference(1.0, 1.0, 3.0, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        rd.barrier_f(rd.BarrierParams(1.0, 1.0), 10.0, tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        rd.barrier_profile(rd.BarrierParams(1.0, 1.0), [0.0, 1.0, 2.0], tol=tol)
     with pytest.raises(ValueError, match="tol"):
         orbit_circumference(2.0, tol=tol)
 

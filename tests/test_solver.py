@@ -68,6 +68,17 @@ def test_config_validation_and_file(tmp_path):
     with pytest.raises(ValueError):
         sv.SolverConfig.from_file(bad)
     assert any(line.startswith("schedule") for line in cfg.to_lines())
+    # sizes must be integers; integral floats are stored as int, so they
+    # write back as from_file reads them
+    for name, bad in (("max_newton", 2.5), ("n_r", 33.5), ("n_theta", 16.25)):
+        with pytest.raises(ValueError, match=name):
+            sv.SolverConfig(**{name: bad})
+    cfg16 = sv.SolverConfig(n_theta=16.0, n_r=33.0, max_newton=np.float64(7.0))
+    assert (type(cfg16.n_theta), type(cfg16.n_r), type(cfg16.max_newton)) == (int, int, int)
+    assert "n_theta = 16" in cfg16.to_lines()
+    round_trip = tmp_path / "sizes.cfg"
+    round_trip.write_text("\n".join(cfg16.to_lines()) + "\n")
+    assert sv.SolverConfig.from_file(round_trip) == cfg16
 
 
 @pytest.mark.parametrize("name", ["newton_tol", "bisection_tol"])
