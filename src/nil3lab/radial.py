@@ -230,9 +230,12 @@ def barrier_fprime(params: BarrierParams, r):
     """Exact derivative f'(r) = scale * exp(sqrt(2) a atan((r+a)/(2 sqrt(2)))) / ((r+a)^2 + 8)."""
     r = np.asarray(r, dtype=float)
     w = r + params.alpha
-    out = params.scale * np.exp(
-        SQRT2 * params.alpha * np.arctan(w / (2.0 * SQRT2))
-    ) / (w * w + 8.0)
+    # above r of about 1.3e154 the square overflows to inf, and the quotient
+    # is 0, the limit of f'
+    with np.errstate(over="ignore"):
+        out = params.scale * np.exp(
+            SQRT2 * params.alpha * np.arctan(w / (2.0 * SQRT2))
+        ) / (w * w + 8.0)
     return float(out) if r.ndim == 0 else out
 
 

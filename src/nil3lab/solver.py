@@ -37,8 +37,10 @@ Two boundary-value programs sit on top:
   on the constant outer value t, capped by the radial barrier, until the inner
   boundary gradient matches the prescribed s within cfg.bisection_tol.
 * `asymptotic_solve` - truncated-disk approximations of angular data at
-  infinity; the coordinate origin is handled by excising a tiny core disk
-  and closing the innermost cell with the zero-flux (regular-origin) face.
+  infinity; the disk rings are offset half a step from the pole, so no ring
+  sits at the coordinate origin, and the innermost cell reaches r = 0, where
+  g(0) = 0 makes the radial flux vanish exactly (the pole treatment of
+  Mohseni and Colonius, J. Comput. Phys. 157 (2000) 787-795).
 """
 
 from __future__ import annotations
@@ -109,8 +111,8 @@ class AnnulusGrid:
     """Polar grid: finite radial nodes 0 < r[0] < ... < r[N], n_theta >= 8 uniform periodic angles.
 
     inner = "dirichlet" pins the row r[0] to boundary data; inner = "neumann"
-    closes the innermost cell with a zero-flux face at r[0] (the excised-core
-    closure for disk domains).
+    makes the grid a disk: the innermost control cell reaches the pole, and
+    its inner face at r = 0 carries no flux because g(0) = 0.
     """
 
     r: np.ndarray
@@ -145,7 +147,8 @@ class AnnulusGrid:
         self.g_face = warp_g(self.r_face)
         ctrl = np.empty_like(self.r)
         ctrl[1:-1] = 0.5 * (self.r[2:] - self.r[:-2])
-        ctrl[0] = 0.5 * self.h_face[0]
+        # a disk's innermost cell reaches the pole, an annulus's stops at r[0]
+        ctrl[0] = self.r_face[0] if self.inner == "neumann" else 0.5 * self.h_face[0]
         ctrl[-1] = 0.5 * self.h_face[-1]
         self.control = ctrl
 
@@ -173,20 +176,26 @@ class AnnulusGrid:
         return cls(r, theta, inner="dirichlet")
 
     @classmethod
-    def disk(
-        cls, radius: float, n_r: int, n_theta: int, r_core: float = 0.02
-    ) -> "AnnulusGrid":
-        """Disk grid with a tiny excised core and the zero-flux inner closure."""
-        if not 0 < r_core < radius < math.inf:
-            raise ValueError("need 0 < r_core < radius < inf")
-        r = np.linspace(r_core, radius, n_r)
+    def disk(cls, radius: float, n_r: int, n_theta: int) -> "AnnulusGrid":
+        """Disk grid of pole-offset rings r_i = (i + 1/2) radius / (n_r - 1/2), r[-1] = radius.
+
+        The innermost cell spans [0, r_face[0]], so no ring sits at the pole.
+        """
+        if not 0 < radius < math.inf:
+            raise ValueError("need 0 < radius < inf")
+        r = (np.arange(n_r) + 0.5) * (radius / (n_r - 0.5))
+        r[-1] = radius
         theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
         return cls(r, theta, inner="neumann")
 
 
 @dataclass
 class SolverConfig:
-    """Newton and outer-search tolerances, grid sizes, and the exhaustion schedule."""
+    """Newton and outer-search tolerances, grid sizes, and the exhaustion schedule.
+
+    r_core is accepted for old configuration files and is unused: the disk
+    grids reach the pole (see `AnnulusGrid.disk`).
+    """
 
     newton_tol: float = 1e-10
     max_newton: int = 40
@@ -215,11 +224,6 @@ class SolverConfig:
             raise ValueError("max_newton must be at least 1")
         if len(self.schedule) and np.any(np.diff(self.schedule) <= 0):
             raise ValueError("schedule must be strictly increasing")
-        if self.compact_rmax <= self.r_core:
-            raise ValueError(
-                f"compact window r <= compact_rmax={self.compact_rmax:g} must reach "
-                f"beyond r_core={self.r_core:g}"
-            )
 
     @classmethod
     def from_file(cls, path) -> "SolverConfig":
@@ -895,25 +899,33 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
     The same data is imposed at every truncation radius R of the schedule;
     the reported diagnostic is the sup-difference of consecutive solutions on
     the fixed compact disk r <= cfg.compact_rmax.  Convergence in R is
-    reported, not asserted.
+    reported, not asserted.  A window that leaves a compared disk without a
+    node raises ValueError before any solve.
     """
     radii = [float(x) for x in (radii if radii is not None else cfg.schedule)]
-    if not (radii and np.all(np.isfinite(radii)) and radii[0] > cfg.r_core
+    if not (radii and np.all(np.isfinite(radii)) and radii[0] > 0
             and np.all(np.diff(radii) > 0)):
-        raise ValueError(f"radii {radii} must be finite, increasing and above r_core={cfg.r_core}")
+        raise ValueError(f"radii {radii} must be finite, positive and increasing")
     if radii[0] <= cfg.compact_rmax:
         logger.info(
             "smallest disk radius %g is inside the compact window %g",
             radii[0], cfg.compact_rmax,
         )
-    grids, fields = [], []
-    for rad in radii:
-        grid = AnnulusGrid.disk(rad, cfg.n_r, cfg.n_theta, cfg.r_core)
+    grids = [AnnulusGrid.disk(rad, cfg.n_r, cfg.n_theta) for rad in radii]
+    # each field but the last is compared with the next one at its own nodes
+    # inside the compact window
+    for grid in grids[:-1]:
+        if grid.r[0] > cfg.compact_rmax:
+            raise ValueError(
+                f"compact window [0, {cfg.compact_rmax:g}] holds no node of the "
+                f"R={grid.r[-1]:g} disk"
+            )
+    fields = []
+    for rad, grid in zip(radii, grids):
         u = dirichlet_solve(grid, None, phi, cfg)
         logger.info("asymptotic R=%g: range [%.6g, %.6g]", rad, u.min(), u.max())
-        grids.append(grid)
         fields.append(u)
-    sup_diffs = _consecutive_sup_diffs(grids, fields, grids[0].r[0], cfg.compact_rmax)
+    sup_diffs = _consecutive_sup_diffs(grids, fields, 0.0, cfg.compact_rmax)
     return AsymptoticSolution(radii, grids, fields, sup_diffs, cfg.compact_rmax)
 
 

@@ -206,10 +206,10 @@ def test_barrier_closed_form_matches_quadrature_and_its_derivative():
                       - 8 * rd.barrier_f(params, r - step)[0]
                       + rd.barrier_f(params, r - 2 * step)[0]) / (12.0 * step)
                 assert abs(fd - fp) <= 1e-9 * fp
-            # f has no intermediate overflow at the largest float radius
-            # (f' there is 0 through an overflowing square)
-            with np.errstate(over="ignore"):
-                assert 0 < rd.barrier_f(params, 1.7e308)[0] <= rd.barrier_sup_bound(params)
+            # f has no intermediate overflow at the largest float radius, and
+            # f' there is its limit 0, without an overflow warning
+            f, fp = rd.barrier_f(params, 1.7e308)
+            assert 0 < f <= rd.barrier_sup_bound(params) and fp == 0.0
 
 
 def test_curvature_bound_margin():
