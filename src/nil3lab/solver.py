@@ -303,7 +303,7 @@ def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
 def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     """Finite-volume residual of the face fluxes (or their stencils), zero on pinned rows.
 
-    No flux enters row 0: the zero-flux closure of inner = "neumann" grids.
+    No flux enters row 0: on inner = "neumann" grids that face is the pole.
     """
     flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
     res = (
