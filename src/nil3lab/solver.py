@@ -110,9 +110,11 @@ class BracketError(SolverError):
 class AnnulusGrid:
     """Polar grid: finite radial nodes 0 < r[0] < ... < r[N], n_theta >= 8 uniform periodic angles.
 
-    inner = "dirichlet" pins the row r[0] to boundary data; inner = "neumann"
+    inner = "dirichlet" pins the row r[0] to boundary data; inner = "pole"
     makes the grid a disk: the innermost control cell reaches the pole, and
-    its inner face at r = 0 carries no flux because g(0) = 0.
+    its inner face at r = 0 carries no flux because g(0) = 0.  A pole grid
+    needs r[0] < r[1] - r[0], so that its innermost ring lies within one
+    cell of the pole.
     """
 
     r: np.ndarray
@@ -136,8 +138,10 @@ class AnnulusGrid:
         dt = 2.0 * math.pi / m
         if not np.allclose(self.theta, np.arange(m) * dt, atol=1e-12):
             raise ValueError("angular nodes must be uniform starting at 0")
-        if self.inner not in ("dirichlet", "neumann"):
-            raise ValueError("inner mode must be 'dirichlet' or 'neumann'")
+        if self.inner not in ("dirichlet", "pole"):
+            raise ValueError("inner mode must be 'dirichlet' or 'pole'")
+        if self.inner == "pole" and self.r[0] >= self.r[1] - self.r[0]:
+            raise ValueError("a pole grid's innermost ring must lie within one cell of the pole")
 
         self.dtheta = dt
         self.pinned = [0, -1] if self.inner == "dirichlet" else [-1]  # rows held by data
@@ -148,7 +152,7 @@ class AnnulusGrid:
         ctrl = np.empty_like(self.r)
         ctrl[1:-1] = 0.5 * (self.r[2:] - self.r[:-2])
         # a disk's innermost cell reaches the pole, an annulus's stops at r[0]
-        ctrl[0] = self.r_face[0] if self.inner == "neumann" else 0.5 * self.h_face[0]
+        ctrl[0] = self.r_face[0] if self.inner == "pole" else 0.5 * self.h_face[0]
         ctrl[-1] = 0.5 * self.h_face[-1]
         self.control = ctrl
 
@@ -186,7 +190,7 @@ class AnnulusGrid:
         r = (np.arange(n_r) + 0.5) * (radius / (n_r - 0.5))
         r[-1] = radius
         theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-        return cls(r, theta, inner="neumann")
+        return cls(r, theta, inner="pole")
 
 
 @dataclass
@@ -303,7 +307,7 @@ def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
 def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     """Finite-volume residual of the face fluxes (or their stencils), zero on pinned rows.
 
-    No flux enters row 0: on inner = "neumann" grids that face is the pole.
+    No flux enters row 0: on inner = "pole" grids that face is the pole.
     """
     flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
     res = (
@@ -692,7 +696,10 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         # lagged one still makes progress
         for name, weights_at in (("newton", _flux_weights), ("lagged", _lagged_weights)):
             try:
-                du, k = _newton_step(weights_at(u, grid), -res, grid, gmres, eta)
+                # at an iterate with slopes near 1e100 the weights and GMRES
+                # overflow; their non-finite results are caught below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    du, k = _newton_step(weights_at(u, grid), -res, grid, gmres, eta)
             except np.linalg.LinAlgError:
                 raise NewtonError("singular linearization in Newton step", rnorm) from None
             if not np.all(np.isfinite(du)):
@@ -760,16 +767,26 @@ class ExteriorSolution:
         return self.fields[-1]
 
 
+def _compared_nodes(grids, r_lo, r_hi) -> list:
+    """Masks of the rings of each grid but the last compared with the next grid.
+
+    They lie in the window [r_lo, r_hi] and not below the next grid's
+    innermost ring, where interpolating the next field would only repeat its
+    first ring.
+    """
+    return [(a.r >= max(r_lo, b.r[0])) & (a.r <= r_hi) for a, b in zip(grids, grids[1:])]
+
+
 def _consecutive_sup_diffs(grids, fields, r_lo, r_hi) -> list:
     """Sup of |u_k - u_{k+1}| over the window [r_lo, r_hi] for each field and the next.
 
-    Each field is compared at its own nodes in the window with the next one,
-    interpolated in r along every angle.  The window must hold a node of each
-    grid but the last; the callers check that before solving.
+    Each field is compared at its `_compared_nodes` with the next one,
+    interpolated in r along every angle.  Each grid but the last must have
+    such a node; the callers check that before solving.
     """
     diffs = []
-    for grid_a, u_a, grid_b, u_b in zip(grids, fields, grids[1:], fields[1:]):
-        mask = (grid_a.r >= r_lo) & (grid_a.r <= r_hi)
+    for grid_a, u_a, grid_b, u_b, mask in zip(grids, fields, grids[1:], fields[1:],
+                                              _compared_nodes(grids, r_lo, r_hi)):
         radii = grid_a.r[mask]
         interp = np.empty((mask.sum(), u_b.shape[1]))
         for j in range(u_b.shape[1]):
@@ -814,8 +831,8 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     # each field but the last is compared with the next one at its own nodes
     # inside this window
     window = (r0 + 0.2, 0.75 * schedule[0])
-    for grid in grids[:-1]:
-        if not np.any((grid.r >= window[0]) & (grid.r <= window[1])):
+    for grid, mask in zip(grids, _compared_nodes(grids, *window)):
+        if not mask.any():
             raise ValueError(
                 f"Cauchy window [{window[0]:g}, {window[1]:g}] holds no node of the "
                 f"m={grid.r[-1]:g} grid"
@@ -900,7 +917,8 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
     the reported diagnostic is the sup-difference of consecutive solutions on
     the fixed compact disk r <= cfg.compact_rmax.  Convergence in R is
     reported, not asserted.  A window that leaves a compared disk without a
-    node raises ValueError before any solve.
+    node from the next disk's innermost ring on raises ValueError before any
+    solve.
     """
     radii = [float(x) for x in (radii if radii is not None else cfg.schedule)]
     if not (radii and np.all(np.isfinite(radii)) and radii[0] > 0
@@ -913,12 +931,14 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
         )
     grids = [AnnulusGrid.disk(rad, cfg.n_r, cfg.n_theta) for rad in radii]
     # each field but the last is compared with the next one at its own nodes
-    # inside the compact window
-    for grid in grids[:-1]:
-        if grid.r[0] > cfg.compact_rmax:
+    # inside the compact window, from the next disk's innermost ring on
+    for grid, next_grid, mask in zip(grids, grids[1:],
+                                     _compared_nodes(grids, 0.0, cfg.compact_rmax)):
+        if not mask.any():
             raise ValueError(
                 f"compact window [0, {cfg.compact_rmax:g}] holds no node of the "
-                f"R={grid.r[-1]:g} disk"
+                f"R={grid.r[-1]:g} disk beyond the R={next_grid.r[-1]:g} disk's "
+                f"innermost ring {next_grid.r[0]:g}"
             )
     fields = []
     for rad, grid in zip(radii, grids):

@@ -185,24 +185,18 @@ def warp_g(r):
     return float(g) if r.ndim == 0 else g
 
 
-def conformal_radius(r, inverse: bool = False):
-    """Conformal radius rho(r) = r / (sqrt(8) + sqrt(8 + r^2)) of the slice; with inverse, r(rho).
+def conformal_radius(r):
+    """Conformal radius rho(r) = r / (sqrt(8) + sqrt(8 + r^2)) of the slice.
 
     d(log rho)/dr = 1/g, so the slice metric is (g/rho)^2 (drho^2 + rho^2
     dtheta^2): rho maps the slice conformally onto the unit disk, and a
     function harmonic in the flat polar coordinates (rho, theta) is harmonic
-    on the slice.  The inverse is r = 2 sqrt(8) rho / (1 - rho^2).  Accepts
-    scalars or arrays of finite r >= 0, or of 0 <= rho < 1 with inverse.
+    on the slice.  Accepts scalars or arrays of finite r >= 0.
     """
     x = np.asarray(r, dtype=float)
-    if inverse:
-        if not np.all((x >= 0) & (x < 1)):
-            raise ValueError("conformal radius must lie in [0, 1)")
-        out = 2.0 * math.sqrt(8.0) * x / (1.0 - x * x)
-    else:
-        if not np.all((x >= 0) & np.isfinite(x)):
-            raise ValueError("radius must be finite and nonnegative")
-        out = x / (math.sqrt(8.0) + np.hypot(math.sqrt(8.0), x))
+    if not np.all((x >= 0) & np.isfinite(x)):
+        raise ValueError("radius must be finite and nonnegative")
+    out = x / (math.sqrt(8.0) + np.hypot(math.sqrt(8.0), x))
     return float(out) if x.ndim == 0 else out
 
 

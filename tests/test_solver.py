@@ -46,6 +46,11 @@ def test_grid_validation():
     for radius in (0.0, -4.0, math.nan):
         with pytest.raises(ValueError, match="radius"):
             sv.AnnulusGrid.disk(radius, 32, 16)
+    # a pole grid's innermost cell reaches r = 0, so its first ring must lie
+    # within one cell of the pole
+    with pytest.raises(ValueError, match="pole"):
+        sv.AnnulusGrid(np.linspace(1, 4, 32), theta, inner="pole")
+    assert sv.AnnulusGrid((np.arange(9) + 0.5) * 0.5, theta, inner="pole").control[0] == 0.5
 
 
 def test_config_validation_and_file(tmp_path):
@@ -575,6 +580,39 @@ def test_solve_skips_gmres_after_the_exact_fallback(monkeypatch, caplog):
     assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
 
 
+def test_overflowing_trial_states_are_rejected(monkeypatch, caplog):
+    # a first Newton direction so long that every damped trial state
+    # overflows the residual: the line search rejects each trial rather than
+    # take the zero fluxes of the overflow for convergence, and the lagged
+    # step is taken instead
+    step, residual = sv._newton_step, sv._solve_residual
+    steps, overflows = [], []
+
+    def long_first_step(*a, **k):
+        du, krylov = step(*a, **k)
+        steps.append(krylov)
+        return (1e300 * du if len(steps) == 1 else du), krylov
+
+    def counting_residual(*a):
+        try:
+            return residual(*a)
+        except FloatingPointError:
+            overflows.append(None)
+            raise
+
+    monkeypatch.setattr(sv, "_newton_step", long_first_step)
+    monkeypatch.setattr(sv, "_solve_residual", counting_residual)
+    grid = sv.AnnulusGrid.disk(4.0, 17, 8)
+    outer = BoundaryData.cosine(1.0)
+    with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
+        u = sv.dirichlet_solve(grid, None, outer, small_cfg())
+    assert len(overflows) >= 20  # every halving down to omega = 1e-6
+    assert caplog.records[1].getMessage().startswith("newton iter=1 ")
+    assert " step=lagged " in caplog.records[1].getMessage()
+    _assert_finite_within_data(u, [outer(grid.theta)], small_cfg())
+    assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
+
+
 @pytest.mark.parametrize("seed", [3, 4, 6])
 def test_stalled_newton_step_gives_way_to_the_lagged_step(caplog, seed):
     # mode-3 data on a small disk from a noisy default guess: the Newton
@@ -833,17 +871,31 @@ def test_asymptotic_cosine_field_is_minimal_in_3d():
 
 @pytest.mark.parametrize(
     "compact_rmax, radii",
-    [(0.01, (4.0, 6.0)),  # below the innermost ring 2/16.5 of R = 4
-     (0.1, (1.0, 4.0, 6.0)),  # holds a ring of R = 1 but not of R = 4
+    [(0.01, (4.0, 6.0)),  # below the innermost ring 4/33 of R = 4
+     # the ring 4/33 of R = 4 lies below the innermost ring 6/33 of R = 6
+     (0.15, (4.0, 6.0)),
+     # R = 1 has rings in [4/33, 0.2], R = 4 none in [6/33, 0.2]
+     (0.2, (1.0, 4.0, 6.0)),
      (-1.0, (4.0, 6.0))],
 )
 def test_compact_window_must_hold_a_node_of_every_disk(monkeypatch, compact_rmax, radii):
-    # an empty window leaves sup_diffs nothing to compare; it is refused
-    # before any solve
+    # each disk is compared with the next at its rings in the window from
+    # the next disk's innermost ring on; a window that leaves a disk none is
+    # refused before any solve
     monkeypatch.setattr(sv, "dirichlet_solve", None)
     cfg = sv.SolverConfig(n_r=17, n_theta=8, compact_rmax=compact_rmax)
     with pytest.raises(ValueError, match="compact window"):
         sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=radii)
+
+
+def test_sup_diffs_of_one_field_on_two_coarse_disks_vanish():
+    # r cos theta is linear in r along each ray, so interpolating it in r is
+    # exact and one field on two disks differs by 0.  At the R = 4 rings
+    # below the R = 32 disk's innermost ring 32/33 the interpolant would only
+    # repeat that ring, an error of up to 0.85; those rings are not compared
+    grids = [sv.AnnulusGrid.disk(radius, 17, 16) for radius in (4.0, 32.0)]
+    fields = [grid.r[:, None] * np.cos(grid.theta) for grid in grids]
+    assert sv._consecutive_sup_diffs(grids, fields, 0.0, 4.0)[0] <= 1e-14
 
 
 @pytest.mark.parametrize("radii", [(8.0, math.inf), (8.0, math.nan), (-1.0, 8.0)])
@@ -882,10 +934,11 @@ def _assert_finite_within_data(u, data, cfg):
 @settings(max_examples=40)
 @given(grid=small_grids, inner=boundary_data, outer=boundary_data,
        guess=st.one_of(st.none(), st.tuples(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))))
-# from this guess a full Newton step once overflowed every flux to zero, and
-# the solve returned values near 1e160 as converged
-@example(grid=sv.AnnulusGrid.disk(2.439453125, 9, 8), inner=_shifted_cosine(0.0, 1, 0.0, 0.0),
-         outer=_shifted_cosine(0.5, 1, 0.0, 0.0), guess=(14007, 2.70703125))
+# from this guess the iterates reach slopes near 1e100, where the Newton
+# weights and GMRES overflow: the solve raises NewtonError, and no
+# RuntimeWarning escapes it
+@example(grid=sv.AnnulusGrid.disk(2.8828125, 27, 8), inner=_shifted_cosine(0.375, 2, 0.0, 0.0),
+         outer=_shifted_cosine(1.25, 1, 0.0, 0.0), guess=(27020, 2.5546875))
 def test_dirichlet_solve_fuzz(grid, inner, outer, guess):
     cfg = small_cfg()
     u0 = None

@@ -204,8 +204,8 @@ def test_warp_values():
         sf.warp_g(-0.5)
 
 
-def test_conformal_radius_and_its_inverse():
-    # d(log rho)/dr = 1/g by central differences, and the inverse undoes rho
+def test_conformal_radius():
+    # d(log rho)/dr = 1/g by central differences
     h = 1e-4
     for r in (0.01, 0.5, 2.0, 10.0, 1e3):
         dlog = (math.log(sf.conformal_radius(r + h * r)) - math.log(sf.conformal_radius(r - h * r)))
@@ -213,14 +213,10 @@ def test_conformal_radius_and_its_inverse():
     r = np.array([0.0, 1e-300, 0.3, 4.0, 1e6, 1e300])
     rho = sf.conformal_radius(r)
     assert rho[0] == 0.0 and np.all(np.diff(rho) > 0) and rho[-1] == 1.0
-    assert np.allclose(sf.conformal_radius(rho[:-1], inverse=True), r[:-1], rtol=1e-9, atol=0)
     assert sf.conformal_radius(2.0 * math.sqrt(2.0)) == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-15)
     for bad in (-0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             sf.conformal_radius(bad)
-    for bad in (-0.1, 1.0, math.nan):
-        with pytest.raises(ValueError):
-            sf.conformal_radius(bad, inverse=True)
 
 
 def test_warp_closed_forms_derive_from_warp_g():
