@@ -305,8 +305,9 @@ def integrate_geodesic(
     (x, y, zeta, a, b, c) at the times k*T/n_steps, the initial state first:
     the chart point and the frame components of the velocity.  The step
     count is the caller's choice; speed is conserved to O((T/n_steps)^4) per
-    unit time.  c is constant (Z is parallel), so zeta stays exactly 0 on
-    geodesics that start in the slice tangent to it.
+    unit time.  c is constant (Z is parallel in the closed-form connection),
+    so zeta stays exactly 0 on slice-tangent launches by construction,
+    whatever the metric; they are no evidence of a totally geodesic slice.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be at least 1")

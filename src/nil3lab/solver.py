@@ -233,25 +233,28 @@ class SolverConfig:
     def from_file(cls, path) -> "SolverConfig":
         """Parse a plain-text key=value file; '#' starts a comment.
 
-        Each value is parsed by the type of its field's default; a tuple is a
-        comma-separated list of floats.
+        Each value is a float, sizes included (so `__post_init__` names a
+        non-integral size), and the schedule a comma-separated list of floats.
+        A line's error names the file, the line and the key.
         """
         kinds = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
         with open(path) as fh:
-            for raw in fh:
+            for num, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
+                where = f"{path}: line {num}"
                 if "=" not in line:
-                    raise ValueError(f"bad config line (expected key=value): {raw!r}")
+                    raise ValueError(f"{where}: bad config line (expected key=value): {raw!r}")
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in kinds:
-                    raise ValueError(f"unknown config key {key!r}")
-                if kinds[key] is tuple:
-                    kwargs[key] = tuple(float(v) for v in val.split(","))
-                else:
-                    kwargs[key] = kinds[key](val)
+                    raise ValueError(f"{where}: unknown config key {key!r}")
+                try:
+                    kwargs[key] = (tuple(float(v) for v in val.split(","))
+                                   if kinds[key] is tuple else float(val))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: bad value for {key}: {exc}") from None
         return cls(**kwargs)
 
     def to_lines(self) -> list[str]:
@@ -767,30 +770,33 @@ class ExteriorSolution:
         return self.fields[-1]
 
 
-def _compared_nodes(grids, r_lo, r_hi) -> list:
+def _compared_nodes(grids, r_lo, r_hi, name) -> list:
     """Masks of the rings of each grid but the last compared with the next grid.
 
     They lie in the window [r_lo, r_hi] and not below the next grid's
     innermost ring, where interpolating the next field would only repeat its
-    first ring.
+    first ring.  A grid left without such a ring raises ValueError naming
+    the window (`name`) and the grid.
     """
-    return [(a.r >= max(r_lo, b.r[0])) & (a.r <= r_hi) for a, b in zip(grids, grids[1:])]
+    masks = [(a.r >= max(r_lo, b.r[0])) & (a.r <= r_hi) for a, b in zip(grids, grids[1:])]
+    for a, b, mask in zip(grids, grids[1:], masks):
+        if not mask.any():
+            raise ValueError(
+                f"{name} [{r_lo:g}, {r_hi:g}] holds no node of the grid of outer "
+                f"radius {a.r[-1]:g} from the next grid's innermost ring {b.r[0]:g} on"
+            )
+    return masks
 
 
-def _consecutive_sup_diffs(grids, fields, r_lo, r_hi) -> list:
-    """Sup of |u_k - u_{k+1}| over the window [r_lo, r_hi] for each field and the next.
+def _consecutive_sup_diffs(grids, fields, masks) -> list:
+    """Sup of |u_k - u_{k+1}| at the `_compared_nodes` masks of each field and the next.
 
-    Each field is compared at its `_compared_nodes` with the next one,
-    interpolated in r along every angle.  Each grid but the last must have
-    such a node; the callers check that before solving.
+    The next field is interpolated in r along every angle.
     """
     diffs = []
-    for grid_a, u_a, grid_b, u_b, mask in zip(grids, fields, grids[1:], fields[1:],
-                                              _compared_nodes(grids, r_lo, r_hi)):
+    for grid_a, u_a, grid_b, u_b, mask in zip(grids, fields, grids[1:], fields[1:], masks):
         radii = grid_a.r[mask]
-        interp = np.empty((mask.sum(), u_b.shape[1]))
-        for j in range(u_b.shape[1]):
-            interp[:, j] = np.interp(radii, grid_b.r, u_b[:, j])
+        interp = np.stack([np.interp(radii, grid_b.r, col) for col in u_b.T], axis=1)
         diffs.append(float(np.max(np.abs(u_a[mask] - interp))))
     return diffs
 
@@ -828,15 +834,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     barrier = BarrierParams(s=s, alpha=r0)
     schedule = list(cfg.schedule)
     grids = [AnnulusGrid.annulus(r0, m, cfg.n_r, cfg.n_theta, cfg.grading) for m in schedule]
-    # each field but the last is compared with the next one at its own nodes
-    # inside this window
-    window = (r0 + 0.2, 0.75 * schedule[0])
-    for grid, mask in zip(grids, _compared_nodes(grids, *window)):
-        if not mask.any():
-            raise ValueError(
-                f"Cauchy window [{window[0]:g}, {window[1]:g}] holds no node of the "
-                f"m={grid.r[-1]:g} grid"
-            )
+    masks = _compared_nodes(grids, r0 + 0.2, 0.75 * schedule[0], "Cauchy window")
     t_trace, caps, grads, fields = [], [], [], []
     prev_t = 0.0
 
@@ -891,7 +889,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
         boundary_gradients=grads,
         grids=grids,
         fields=fields,
-        cauchy=_consecutive_sup_diffs(grids, fields, *window),
+        cauchy=_consecutive_sup_diffs(grids, fields, masks),
     )
 
 
@@ -930,22 +928,13 @@ def asymptotic_solve(phi, cfg: SolverConfig, radii=None) -> AsymptoticSolution:
             radii[0], cfg.compact_rmax,
         )
     grids = [AnnulusGrid.disk(rad, cfg.n_r, cfg.n_theta) for rad in radii]
-    # each field but the last is compared with the next one at its own nodes
-    # inside the compact window, from the next disk's innermost ring on
-    for grid, next_grid, mask in zip(grids, grids[1:],
-                                     _compared_nodes(grids, 0.0, cfg.compact_rmax)):
-        if not mask.any():
-            raise ValueError(
-                f"compact window [0, {cfg.compact_rmax:g}] holds no node of the "
-                f"R={grid.r[-1]:g} disk beyond the R={next_grid.r[-1]:g} disk's "
-                f"innermost ring {next_grid.r[0]:g}"
-            )
+    masks = _compared_nodes(grids, 0.0, cfg.compact_rmax, "compact window")
     fields = []
     for rad, grid in zip(radii, grids):
         u = dirichlet_solve(grid, None, phi, cfg)
         logger.info("asymptotic R=%g: range [%.6g, %.6g]", rad, u.min(), u.max())
         fields.append(u)
-    sup_diffs = _consecutive_sup_diffs(grids, fields, 0.0, cfg.compact_rmax)
+    sup_diffs = _consecutive_sup_diffs(grids, fields, masks)
     return AsymptoticSolution(radii, grids, fields, sup_diffs, cfg.compact_rmax)
 
 

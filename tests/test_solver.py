@@ -85,6 +85,23 @@ def test_config_validation_and_file(tmp_path):
     round_trip = tmp_path / "sizes.cfg"
     round_trip.write_text("\n".join(cfg16.to_lines()) + "\n")
     assert sv.SolverConfig.from_file(round_trip) == cfg16
+    # a file's sizes parse through float as the constructor's do; a bad
+    # value names the file, the line and the key
+    sized = tmp_path / "sized.cfg"
+    sized.write_text("# sizes\nn_r = 16.0\n")
+    assert sv.SolverConfig.from_file(sized).n_r == 16
+    sized.write_text("# sizes\nn_r = 2.5\n")
+    with pytest.raises(ValueError, match="n_r must be an integer"):
+        sv.SolverConfig.from_file(sized)
+    for line, message in (("schedule =", "bad value for schedule: could not convert"),
+                          ("n_theta = sixteen", "bad value for n_theta: could not convert"),
+                          ("grading = 2,3", "bad value for grading: could not convert"),
+                          ("mystery = 12", "unknown config key 'mystery'"),
+                          ("n_r 16", "bad config line")):
+        sized.write_text(f"# comment\n{line}\n")
+        with pytest.raises(ValueError) as err:
+            sv.SolverConfig.from_file(sized)
+        assert str(err.value).startswith(f"{sized}: line 2: {message}")
 
 
 @pytest.mark.parametrize("name", ["newton_tol", "bisection_tol"])
@@ -895,7 +912,8 @@ def test_sup_diffs_of_one_field_on_two_coarse_disks_vanish():
     # repeat that ring, an error of up to 0.85; those rings are not compared
     grids = [sv.AnnulusGrid.disk(radius, 17, 16) for radius in (4.0, 32.0)]
     fields = [grid.r[:, None] * np.cos(grid.theta) for grid in grids]
-    assert sv._consecutive_sup_diffs(grids, fields, 0.0, 4.0)[0] <= 1e-14
+    masks = sv._compared_nodes(grids, 0.0, 4.0, "compact window")
+    assert sv._consecutive_sup_diffs(grids, fields, masks)[0] <= 1e-14
 
 
 @pytest.mark.parametrize("radii", [(8.0, math.inf), (8.0, math.nan), (-1.0, 8.0)])

@@ -175,6 +175,22 @@ def test_totally_geodesic_check_fails_without_the_right_pullback(monkeypatch):
     report = {r.claim_id: r for r in vf.run_claim_checks()}["totally-geodesic-slice"]
     assert report.verdict == "fail"
     assert report.values["max_second_fundamental_form"] > 1e-3
+    assert report.values["max_zeta_drift"] > 1e-8
+
+
+def test_claim_checks_integrate_one_geodesic(monkeypatch):
+    # slice-tangent launches keep zeta = 0 by the integrator's construction,
+    # so criterion 3 integrates none; only criterion 6's endpoint check does
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return nilcore.integrate_geodesic(*args)
+
+    monkeypatch.setattr(vf, "integrate_geodesic", counted)
+    reports = {r.claim_id: r for r in vf.run_claim_checks()}
+    assert len(calls) == 1
+    assert reports["radial-geodesics"].values["integrator_endpoint_error"] <= 1e-8
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
