@@ -15,9 +15,12 @@ stencil, the 9-point stencil.  The rotational symmetry makes the
 linearization circulant in theta up to its theta-variation, so GMRES on
 those products is preconditioned by the stencil of the theta-averaged
 weights: one tridiagonal system in r per Fourier mode, exact for
-rotationally symmetric states.  GMRES stops once the preconditioned
-residual has fallen by the forcing term eta = max(KRYLOV_RTOL, min(0.1, |F|)),
-|F| the sup-norm residual of the iterate: a forcing term of the order of |F|
+rotationally symmetric states, all modes factored together by odd-even
+cyclic reduction (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7 (1970)
+627-656) in about log2(n_r) vectorized numpy levels.  GMRES stops once the
+preconditioned residual has fallen by the forcing term
+eta = max(KRYLOV_RTOL, min(0.1, |F|)), |F| the sup-norm residual of the
+iterate: a forcing term of the order of |F|
 keeps the local quadratic convergence of Newton (Dembo, Eisenstat and
 Steihaug, SIAM J. Numer. Anal. 19 (1982) 400-408), so the early steps take
 one or two iterations and only the last ones solve to KRYLOV_RTOL.  A solve
@@ -50,7 +53,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, zgttrf, zgttrs
 
 from .nilcore import ChartPoint, metric_closed_form
 from .radial import (
@@ -235,10 +237,11 @@ class SolverConfig:
 
         Each value is a float, sizes included (so `__post_init__` names a
         non-integral size), and the schedule a comma-separated list of floats.
-        A line's error names the file, the line and the key.
+        A line's error names the file, the line and the key; a key given
+        twice names both lines.
         """
         kinds = {f.name: type(f.default) for f in fields(cls)}
-        kwargs = {}
+        kwargs, seen = {}, {}
         with open(path) as fh:
             for num, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
@@ -250,6 +253,9 @@ class SolverConfig:
                 key, val = (part.strip() for part in line.split("=", 1))
                 if key not in kinds:
                     raise ValueError(f"{where}: unknown config key {key!r}")
+                if key in seen:
+                    raise ValueError(f"{where}: config key {key!r} repeats line {seen[key]}")
+                seen[key] = num
                 try:
                     kwargs[key] = (tuple(float(v) for v in val.split(","))
                                    if kinds[key] is tuple else float(val))
@@ -271,14 +277,12 @@ class SolverConfig:
 
 
 def _shift(f: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """f at node (i+di, j+dj), wrapping in both grid directions.
+    """Stencil f at node (i+di, j+dj), wrapping in both grid directions.
 
     A stencil carries two leading window axes, window[1+di, 1+dj] being the
     coefficient of u at offset (di, dj) from its node; the window moves
     against the grid, so each entry keeps its offset from the node it acts on.
     """
-    if f.ndim == 2:
-        return np.roll(f, (-di, -dj), axis=(0, 1))
     return np.roll(f, (di, dj, -di, -dj), axis=(0, 1, 2, 3))
 
 
@@ -291,9 +295,23 @@ def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
     j): x = u_theta / g and y = mean u_r, u_r central at interior nodes and
     one-sided on the boundary rows.  The slopes are linear in u, so u may
     also be a stencil (see `_shift`); they then hold their coefficients.
+    A field's differences are slices of one copy of it with a ghost column
+    on each side in theta.
     """
     dt = grid.dtheta
     h = grid.h_face[:, None]
+    if u.ndim == 2:
+        wrap = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
+        uth = (wrap[:, 2:] - wrap[:, :-2]) / (2.0 * dt)
+        x_r = (u[1:] - u[:-1]) / h
+        y_r = 0.5 * (uth[:-1] + uth[1:]) / grid.g_face[:, None]
+        ur = np.empty_like(wrap)
+        ur[1:-1] = (wrap[2:] - wrap[:-2]) / (grid.r[2:] - grid.r[:-2])[:, None]
+        ur[0] = (wrap[1] - wrap[0]) / h[0]
+        ur[-1] = (wrap[-1] - wrap[-2]) / h[-1]
+        x_t = (wrap[:, 2:] - u) / dt / grid.g[:, None]
+        y_t = 0.5 * (ur[:, 1:-1] + ur[:, 2:])
+        return (x_r, y_r), (x_t, y_t)
     up, down, right = _shift(u, 1, 0), _shift(u, -1, 0), _shift(u, 0, 1)
     uth = (right - _shift(u, 0, -1)) / (2.0 * dt)
     x_r = (up - u)[..., :-1, :] / h
@@ -311,12 +329,23 @@ def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np
     """Finite-volume residual of the face fluxes (or their stencils), zero on pinned rows.
 
     No flux enters row 0: on inner = "pole" grids that face is the pole.
+    A field's differences are slices of padded copies of its fluxes: a zero
+    flux on each end in r, a ghost column in theta.
     """
-    flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
-    res = (
-        (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
-        + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
-    ) / grid.g[:, None]
+    if flux_r.ndim == 2:
+        zero = np.zeros_like(flux_r[:1])
+        radial = np.concatenate([zero, flux_r, zero])
+        angular = np.concatenate([flux_t[:, -1:], flux_t], axis=1)
+        res = (
+            (radial[1:] - radial[:-1]) / grid.control[:, None]
+            + (angular[:, 1:] - angular[:, :-1]) / grid.dtheta
+        ) / grid.g[:, None]
+    else:
+        flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
+        res = (
+            (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
+            + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
+        ) / grid.g[:, None]
     res[..., grid.pinned, :] = 0.0
     return res
 
@@ -444,11 +473,11 @@ def _block_solve(stencil: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Ring i couples only to rings i-1 and i+1, through periodic-tridiagonal
     n_theta x n_theta blocks A_i, D_i, C_i (window rows 0, 1, 2 of the
-    stencil, see `_shift`).  The forward sweep factors each pivot block
-    D_i - A_i G_{i-1} and solves it once for the gain and the partial
-    solution together, [G_i | y_i] from [C_i | rhs_i - A_i y_{i-1}]; the
-    backward sweep gives x_i = y_i - G_i x_{i+1}.  An exactly singular pivot
-    block raises LinAlgError.
+    stencil, see `_shift`).  The forward sweep solves each pivot block
+    D_i - A_i G_{i-1} once for the gain and the partial solution together,
+    [G_i | y_i] from [C_i | rhs_i - A_i y_{i-1}]; the backward sweep gives
+    x_i = y_i - G_i x_{i+1}.  An exactly singular pivot block raises
+    LinAlgError.
     """
     n1, m = rhs.shape
     rows = np.arange(m)[:, None]
@@ -467,14 +496,72 @@ def _block_solve(stencil: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             coupled = block(0, i) @ gains[i - 1]
             pivot -= coupled[:, :m]
             right[:, m] -= coupled[:, m]
-        lu, piv, info = dgetrf(pivot, overwrite_a=True)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular pivot block at ring {i}")
-        gains[i] = dgetrs(lu, piv, right)[0]
+        try:
+            gains[i] = np.linalg.solve(pivot, right)
+        except np.linalg.LinAlgError:
+            raise np.linalg.LinAlgError(f"singular pivot block at ring {i}") from None
     x = gains[:, :, m].copy()
     for i in range(n1 - 2, -1, -1):
         x[i] -= gains[i, :, :m] @ x[i + 1]
     return x
+
+
+def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray):
+    """Factor stacked tridiagonal systems by odd-even cyclic reduction.
+
+    Axis 0 runs over the n rows and axis 1 over the systems; row i reads
+    lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] (LAPACK's gttrf
+    layout).  Each level eliminates the odd rows from the even ones, which
+    leaves a tridiagonal system of half the size (Buzbee, Golub and Nielson,
+    SIAM J. Numer. Anal. 7 (1970) 627-656), so about log2(n) vectorized
+    levels reach one row; a level of odd length is padded with one identity
+    row first.  There is no pivoting.  Returns solve(rhs), rhs shaped like
+    diag; a zero reduced diagonal raises LinAlgError.
+    """
+    levels = []
+    while len(diag) > 1:
+        pad = len(diag) % 2
+        if pad:
+            zero = np.zeros_like(diag[:1])
+            lower, diag, upper = (np.concatenate([lower, zero]),
+                                  np.concatenate([diag, zero + 1.0]),
+                                  np.concatenate([upper, zero]))
+        if not diag[1::2].all():
+            raise np.linalg.LinAlgError("zero reduced diagonal")
+        # the odd rows' couplings and negated inverse diagonals, and the
+        # multiples of them that the even rows subtract
+        odd_lower, odd_upper, neg_inv = lower[0::2], upper[1::2], -1.0 / diag[1::2]
+        from_below = lower[1::2] * neg_inv[:-1]
+        from_above = upper[0::2] * neg_inv
+        diag = diag[0::2] + from_above * odd_lower
+        diag[1:] += from_below * odd_upper
+        lower, upper = from_below * odd_lower[:-1], from_above[:-1] * odd_upper
+        levels.append((pad, odd_lower, odd_upper, neg_inv, from_below, from_above))
+    if not diag.all():
+        raise np.linalg.LinAlgError("zero reduced diagonal")
+    last_inv = 1.0 / diag
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        odd_rhs = []
+        for pad, _, _, _, from_below, from_above in levels:
+            if pad:
+                rhs = np.concatenate([rhs, np.zeros_like(rhs[:1])])
+            odd = rhs[1::2]
+            odd_rhs.append(odd)
+            rhs = rhs[0::2] + from_above * odd
+            rhs[1:] += from_below * odd[:-1]
+        x = rhs * last_inv
+        for (pad, odd_lower, odd_upper, neg_inv, _, _), odd in zip(levels[::-1], odd_rhs[::-1]):
+            x_odd = odd_lower * x - odd
+            x_odd[:-1] += odd_upper * x[1:]
+            x_odd *= neg_inv
+            full = np.empty((2 * len(x),) + x.shape[1:], dtype=x.dtype)
+            full[0::2] = x
+            full[1::2] = x_odd
+            x = full[:-1] if pad else full  # drop the padded identity row
+        return x
+
+    return solve
 
 
 def _averaged_solver(column: np.ndarray, m: int):
@@ -483,26 +570,24 @@ def _averaged_solver(column: np.ndarray, m: int):
     column[1+di, 1+dj, i] is the stencil of ring i, the same at every angle.
     The system is circulant in theta, so Fourier mode k of a ring couples
     only to mode k of the neighbouring rings: the modes 0..m//2 are
-    complex tridiagonal systems in r, stacked into one zgttrf/zgttrs pair.
-    Returns solve(rhs); a singular system raises LinAlgError.
+    complex tridiagonal systems in r, factored together by odd-even cyclic
+    reduction (`_cyclic_reduction`; Buzbee, Golub and Nielson, SIAM J.
+    Numer. Anal. 7 (1970) 627-656).  Returns solve(rhs); a zero reduced
+    diagonal raises LinAlgError.
     """
-    n1 = column.shape[-1]
-    modes = np.arange(m // 2 + 1)
-    # x at angle j + dj has the Fourier coefficient exp(2 pi i k dj / m) X_k
-    phase = np.exp(2j * math.pi / m * np.outer(modes, np.arange(-1, 2)))
-    # symbol[k, a, i]: coefficient of mode k on ring i + a - 1 in the row of ring i
-    symbol = np.einsum("abi,kb->kai", column, phase)
-    symbol[:, 0, 0] = 0.0  # rings 0 and n1 - 1 end each mode's system
-    symbol[:, 2, -1] = 0.0
-    lower, diag, upper = (symbol[:, a].ravel() for a in range(3))
-    dl, d, du, du2, ipiv, info = zgttrf(lower[1:], diag, upper[:-1])
-    if info > 0:
-        raise np.linalg.LinAlgError("singular theta-averaged system")
+    # x at angle j + dj has the Fourier coefficient exp(2 pi i k dj / m) X_k, so
+    # symbol[a, i, k] = column[a, 1, i] + (column[a, 0, i] + column[a, 2, i]) cos k dtheta
+    #                   + i (column[a, 2, i] - column[a, 0, i]) sin k dtheta
+    # is the coefficient of mode k on ring i + a - 1 in the row of ring i
+    angle = (2.0 * math.pi / m) * np.arange(m // 2 + 1)
+    symbol = np.empty(column.shape[:1] + column.shape[2:] + angle.shape, dtype=complex)
+    symbol.real = column[:, 1, :, None] + (column[:, 0] + column[:, 2])[..., None] * np.cos(angle)
+    symbol.imag = (column[:, 2] - column[:, 0])[..., None] * np.sin(angle)
+    # rings 0 and n1 - 1 end each mode's system
+    factored = _cyclic_reduction(symbol[0, 1:], symbol[1], symbol[2, :-1])
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(rhs, axis=1).T.ravel()
-        x = zgttrs(dl, d, du, du2, ipiv, spec)[0]
-        return np.fft.irfft(x.reshape(-1, n1).T, n=m, axis=1)
+        return np.fft.irfft(factored(np.fft.rfft(rhs, axis=1)), n=m, axis=1)
 
     return solve
 

@@ -291,7 +291,7 @@ def curvature_closed_forms(p: SurfacePoint) -> CurvatureCandidates:
     return CurvatureCandidates(2.0 * k_warp, k_warp)
 
 
-def second_fundamental_form_slice(p: SurfacePoint) -> np.ndarray:
+def second_fundamental_form_slice(p: SurfacePoint, gamma=None) -> np.ndarray:
     """Second fundamental form of the slice on {X, Y}: (2, 2), or (..., 2, 2).
 
     II_ij = Gamma^Z_ij / sqrt(g^ZZ): the unit normal of {zeta = 0} is
@@ -299,9 +299,12 @@ def second_fundamental_form_slice(p: SurfacePoint) -> np.ndarray:
     `christoffel_from_metric` and g^ZZ from the inverse of
     `frame_metric_from_translations`.  So it measures the defining
     construction of the metric, and vanishes exactly when the slice is
-    totally geodesic.
+    totally geodesic.  A caller that already holds the oracle's symbols
+    at p, `christoffel_from_metric(p.to_chart()).gamma`, passes them as
+    gamma so that they are not evaluated twice.
     """
     q = p.to_chart()
-    gam = christoffel_from_metric(q).gamma
+    if gamma is None:
+        gamma = christoffel_from_metric(q).gamma
     gzz = np.linalg.inv(frame_metric_from_translations(q))[..., 2, 2]
-    return gam[..., 2, :2, :2] / np.sqrt(gzz)[..., None, None]
+    return gamma[..., 2, :2, :2] / np.sqrt(gzz)[..., None, None]

@@ -250,10 +250,12 @@ def _check_totally_geodesic(tol_ii, tol_zeta, rng):
     (one-parameter subgroups) stay in the slice under any left-invariant metric.
     """
     x, y = rng.uniform(-4.0, 4.0, size=(100, 2)).T
-    worst_ii = np.max(np.abs(sf.second_fundamental_form_slice(sf.SurfacePoint(x, y))))
+    points = sf.SurfacePoint(x, y)
+    gamma = christoffel_from_metric(points.to_chart()).gamma  # one oracle call for both values
+    worst_ii = np.max(np.abs(sf.second_fundamental_form_slice(points, gamma)))
     ang = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     vel = np.stack([np.cos(ang), np.sin(ang)], axis=-1) / SQRT2
-    gam_z = christoffel_from_metric(ChartPoint(x, y, 0.0)).gamma[:, 2, :2, :2]
+    gam_z = gamma[:, 2, :2, :2]
     worst_zeta = 0.5 * 10.0**2 * np.max(np.abs(np.einsum("pij,ai,aj->pa", gam_z, vel, vel)))
     ok = worst_ii <= tol_ii and worst_zeta <= tol_zeta
     return ClaimReport(

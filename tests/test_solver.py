@@ -102,6 +102,11 @@ def test_config_validation_and_file(tmp_path):
         with pytest.raises(ValueError) as err:
             sv.SolverConfig.from_file(sized)
         assert str(err.value).startswith(f"{sized}: line 2: {message}")
+    # a key given twice is an error naming both lines, not a silent override
+    sized.write_text("n_r = 16\n# comment\nn_theta = 8\nn_r = 32\n")
+    with pytest.raises(ValueError) as err:
+        sv.SolverConfig.from_file(sized)
+    assert str(err.value) == f"{sized}: line 4: config key 'n_r' repeats line 1"
 
 
 @pytest.mark.parametrize("name", ["newton_tol", "bisection_tol"])
@@ -244,13 +249,13 @@ def _stencil_matrix(stencil):
     )
 
 
-def _linearization_state(kind, n_theta, grading):
+def _linearization_state(kind, n_theta, grading, n_r=33):
     """Grid, boundary rows and a non-radial state: the cosine default guess plus a mode-2 bump."""
     if kind == "annulus":
-        grid = sv.AnnulusGrid.annulus(1.0, 4.0, 33, n_theta, grading=grading)
+        grid = sv.AnnulusGrid.annulus(1.0, 4.0, n_r, n_theta, grading=grading)
         inner_vals = np.zeros(n_theta)
     else:
-        grid = sv.AnnulusGrid.disk(6.0, 33, n_theta)
+        grid = sv.AnnulusGrid.disk(6.0, n_r, n_theta)
         inner_vals = None
     outer_vals = BoundaryData.cosine(1.0)(grid.theta)
     xi = ((grid.r - grid.r[0]) / (grid.r[-1] - grid.r[0]))[:, None]
@@ -310,6 +315,44 @@ def test_block_solve_zero_pivot_block_raises():
     stencil[:, :, 4] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="ring 4"):
         sv._block_solve(stencil, np.ones((9, 8)))
+
+
+def _averaged_column(source, n_r, n_theta):
+    """A theta-independent stencil column: of the theta-averaged weights of a state, or random."""
+    if source == "random":
+        # diagonally dominant, so every Fourier mode's tridiagonal system is too
+        return _dominant_stencil(n_r, 1, n_r * n_theta)[..., 0]
+    grid, _, _, u, _ = _linearization_state(source, n_theta, grading=2.0, n_r=n_r)
+    mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face)
+                 for face in sv._flux_weights(u, grid))
+    return sv._linearized(mean, sv._unit_stencil(grid), grid)[..., 0]
+
+
+@pytest.mark.parametrize("source", ["annulus", "disk", "random"])
+@pytest.mark.parametrize("n_r", [5, 6, 7, 33, 256, 257])
+@pytest.mark.parametrize("n_theta", [8, 10, 16])
+def test_averaged_solver_matches_sparse_oracle(source, n_r, n_theta):
+    # the cyclic reduction pads every odd-length level with an identity row:
+    # 5, 7, 33 and 257 rings start odd, 6 turns odd after one level, and 256
+    # halves evenly down to one row
+    column = _averaged_column(source, n_r, n_theta)
+    matrix = _stencil_matrix(np.repeat(column[..., None], n_theta, axis=-1))
+    solve = sv._averaged_solver(column, n_theta)
+    for rhs in np.random.default_rng(n_r).standard_normal((2, n_r, n_theta)):
+        ref = spsolve(matrix, rhs.ravel()).reshape(rhs.shape)
+        assert np.max(np.abs(solve(rhs) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("zeroed", [(slice(None), slice(None), 3), (slice(None), slice(None), 4), 1],
+                         ids=["odd ring", "even ring", "centre row"])
+def test_averaged_solver_zero_diagonal_raises(zeroed):
+    # a ring without entries makes the system singular, whether its row is
+    # eliminated at the first level (odd) or carried down (even); a zero
+    # centre row leaves every mode's system without a diagonal
+    column = _averaged_column("random", 9, 8)
+    column[zeroed] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        sv._averaged_solver(column, 8)
 
 
 @pytest.mark.parametrize("kind", ["annulus", "disk"])

@@ -178,6 +178,24 @@ def test_totally_geodesic_check_fails_without_the_right_pullback(monkeypatch):
     assert report.values["max_zeta_drift"] > 1e-8
 
 
+def test_totally_geodesic_check_evaluates_the_oracle_once(monkeypatch):
+    # |II| and the zeta drift read the same Koszul symbols, evaluated once,
+    # and |II| equals the slice function's own evaluation bit for bit
+    x, y = np.random.default_rng(3).uniform(-4.0, 4.0, size=(100, 2)).T
+    alone = np.max(np.abs(sf.second_fundamental_form_slice(sf.SurfacePoint(x, y))))
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return nilcore.christoffel_from_metric(q)
+
+    monkeypatch.setattr(vf, "christoffel_from_metric", counted)
+    monkeypatch.setattr(sf, "christoffel_from_metric", counted)
+    report = vf._check_totally_geodesic(1e-10, 1e-8, np.random.default_rng(3))
+    assert len(calls) == 1
+    assert report.values["max_second_fundamental_form"] == alone
+
+
 def test_claim_checks_integrate_one_geodesic(monkeypatch):
     # slice-tangent launches keep zeta = 0 by the integrator's construction,
     # so criterion 3 integrates none; only criterion 6's endpoint check does
