@@ -277,12 +277,14 @@ class SolverConfig:
 
 
 def _shift(f: np.ndarray, di: int, dj: int) -> np.ndarray:
-    """Stencil f at node (i+di, j+dj), wrapping in both grid directions.
+    """f at node (i+di, j+dj), wrapping in both grid directions.
 
     A stencil carries two leading window axes, window[1+di, 1+dj] being the
     coefficient of u at offset (di, dj) from its node; the window moves
     against the grid, so each entry keeps its offset from the node it acts on.
     """
+    if f.ndim == 2:
+        return np.roll(f, (-di, -dj), axis=(0, 1))
     return np.roll(f, (di, dj, -di, -dj), axis=(0, 1, 2, 3))
 
 
@@ -295,23 +297,9 @@ def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
     j): x = u_theta / g and y = mean u_r, u_r central at interior nodes and
     one-sided on the boundary rows.  The slopes are linear in u, so u may
     also be a stencil (see `_shift`); they then hold their coefficients.
-    A field's differences are slices of one copy of it with a ghost column
-    on each side in theta.
     """
     dt = grid.dtheta
     h = grid.h_face[:, None]
-    if u.ndim == 2:
-        wrap = np.concatenate([u[:, -1:], u, u[:, :1]], axis=1)
-        uth = (wrap[:, 2:] - wrap[:, :-2]) / (2.0 * dt)
-        x_r = (u[1:] - u[:-1]) / h
-        y_r = 0.5 * (uth[:-1] + uth[1:]) / grid.g_face[:, None]
-        ur = np.empty_like(wrap)
-        ur[1:-1] = (wrap[2:] - wrap[:-2]) / (grid.r[2:] - grid.r[:-2])[:, None]
-        ur[0] = (wrap[1] - wrap[0]) / h[0]
-        ur[-1] = (wrap[-1] - wrap[-2]) / h[-1]
-        x_t = (wrap[:, 2:] - u) / dt / grid.g[:, None]
-        y_t = 0.5 * (ur[:, 1:-1] + ur[:, 2:])
-        return (x_r, y_r), (x_t, y_t)
     up, down, right = _shift(u, 1, 0), _shift(u, -1, 0), _shift(u, 0, 1)
     uth = (right - _shift(u, 0, -1)) / (2.0 * dt)
     x_r = (up - u)[..., :-1, :] / h
@@ -329,23 +317,12 @@ def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np
     """Finite-volume residual of the face fluxes (or their stencils), zero on pinned rows.
 
     No flux enters row 0: on inner = "pole" grids that face is the pole.
-    A field's differences are slices of padded copies of its fluxes: a zero
-    flux on each end in r, a ghost column in theta.
     """
-    if flux_r.ndim == 2:
-        zero = np.zeros_like(flux_r[:1])
-        radial = np.concatenate([zero, flux_r, zero])
-        angular = np.concatenate([flux_t[:, -1:], flux_t], axis=1)
-        res = (
-            (radial[1:] - radial[:-1]) / grid.control[:, None]
-            + (angular[:, 1:] - angular[:, :-1]) / grid.dtheta
-        ) / grid.g[:, None]
-    else:
-        flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
-        res = (
-            (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
-            + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
-        ) / grid.g[:, None]
+    flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
+    res = (
+        (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
+        + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
+    ) / grid.g[:, None]
     res[..., grid.pinned, :] = 0.0
     return res
 
