@@ -14,7 +14,6 @@ offset) except where a function explicitly returns the chart offset h.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,9 +22,12 @@ import numpy as np
 from .surface import geodesic_circle_curvature, warp_g
 
 SQRT2 = math.sqrt(2.0)
-# relative target of every quad call, and the relative error bound a value is
+# relative target of every quadrature, and the relative error bound a value is
 # accepted against besides the absolute tolerance
 _QUAD_REL = 1e-13
+# the adaptive Gauss-Legendre rule gives up past this many halvings of a
+# panel or this many live panels
+_MAX_LEVELS, _MAX_PANELS = 50, 4096
 
 __all__ = [
     "CatenoidParams",
@@ -94,27 +96,82 @@ class CatenoidParams:
             )
 
 
-def _quad_checked(fn, lo, hi, tol, ctx="quadrature", points=None):
+def _quadrature(rule, tol: float, ctx: str) -> float:
+    """Value of rule(tol) -> (value, error estimate), checked against tol.
+
+    The gateway of every quadrature here.  The estimate is accepted against
+    max(tol, 1e-13 |value|), the bound the rules aim at, so a tol finer than
+    the float spacing at the value would pass unmet; that tol is refused
+    first.  A rule that gives up reports an infinite estimate.
+    """
     if not 0 < tol < math.inf:
         raise ValueError(f"{ctx}: tol must be finite and positive")
-    # imported here, not at module level: scipy.integrate roughly doubles the
-    # start-up of `import nil3lab`, and only the quadratures need it (an annulus
-    # solve integrates through its default guess, a disk solve never does)
-    from scipy.integrate import quad
-
-    val, err = quad(fn, lo, hi, epsabs=0.25 * tol, epsrel=_QUAD_REL, limit=300, points=points)
-    # a tol finer than the float spacing at the value is unreachable whatever
-    # the estimate says
+    val, err = rule(tol)
     if math.isfinite(val) and tol < math.ulp(val):
         raise QuadratureError(
             f"{ctx}: tol {tol:.3g} is below the float spacing {math.ulp(val):.3g} "
             f"of the value {val:.6g}"
         )
-    # quad stops once either of its targets is met, so the estimate is
-    # accepted against either bound
     if not err <= max(tol, _QUAD_REL * abs(val)):
         raise QuadratureError(f"{ctx}: error estimate {err:.3g} above tol {tol:.3g}")
     return val
+
+
+def _adaptive_gauss_legendre(fn, edges, tol: float) -> tuple[float, float]:
+    """Integral of fn over [edges[0], edges[-1]] and its error estimate.
+
+    Every interval between the edges starts as eight panels, integrated by
+    the 8- and 16-point Gauss-Legendre rules, every live panel in one call
+    of fn per level.  A panel whose two rules differ by at most its share of
+    the length of max(tol, 1e-13 |value|) is kept at its 16-point value; the
+    others are halved.  The estimate is the sum of the kept differences, or
+    infinite once a panel has been halved _MAX_LEVELS times or more than
+    _MAX_PANELS are live.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if edges[-1] == edges[0]:
+        return 0.0, 0.0
+    width = np.repeat(np.diff(edges) / 8.0, 8)
+    lo = np.repeat(edges[:-1], 8) + width * np.tile(np.arange(8.0), len(edges) - 1)
+    share = 1.0 / (edges[-1] - edges[0])
+    val = err = 0.0
+    for _ in range(_MAX_LEVELS):
+        half = 0.5 * width
+        both = fn((lo + half)[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS
+        coarse, fine = (both * half[:, None]).T
+        miss = np.abs(fine - coarse)
+        kept = miss <= width * (share * max(tol, _QUAD_REL * abs(val + fine.sum())))
+        val += fine[kept].sum()
+        err += miss[kept].sum()
+        if kept.all():
+            return val, err
+        live = ~kept
+        lo, half = lo[live], half[live]
+        if 2 * lo.size > _MAX_PANELS:
+            break
+        lo, width = np.concatenate([lo, lo + half]), np.concatenate([half, half])
+    return val + fine[live].sum(), math.inf
+
+
+def _periodic_trapezoid(fn, tol: float) -> tuple[float, float]:
+    """Integral of the 2 pi-periodic fn over a period and its error estimate.
+
+    The trapezoid rule converges geometrically for an analytic periodic
+    integrand (Trefethen and Weideman, SIAM Review 56 (2014) 385-458).  The
+    node count doubles from 8 until two values agree within
+    max(tol, 1e-13 |value|); their distance is the estimate, infinite when
+    2^16 nodes are not enough.
+    """
+    n = 8
+    val = 2.0 * math.pi / n * float(fn(np.arange(n) * (2.0 * math.pi / n)).sum())
+    while n < 2**16:
+        # the doubled rule keeps the old nodes and adds the midpoints
+        mids = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+        val, old = 0.5 * val + math.pi / n * float(fn(mids).sum()), val
+        n *= 2
+        if abs(val - old) <= max(tol, _QUAD_REL * abs(val)):
+            return val, abs(val - old)
+    return val, math.inf
 
 
 def _catenoid_integrand(params: CatenoidParams, t: float):
@@ -358,8 +415,12 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (2.0 / w.sum())
 
 
-# the rules the cumulative flux heights are integrated with
-_GAUSS_LEGENDRE = (_gauss_legendre(8), _gauss_legendre(16))
+# the 8- and 16-point rules the flux heights are integrated with: their nodes
+# side by side, and a weight column for each, so one product applies both
+(_x8, _w8), (_x16, _w16) = _gauss_legendre(8), _gauss_legendre(16)
+_GL_NODES = np.concatenate([_x8, _x16])
+_GL_WEIGHTS = np.zeros((24, 2))
+_GL_WEIGHTS[:8, 0], _GL_WEIGHTS[8:, 1] = _w8, _w16
 
 
 def _flux_integrand_factory(c: float, r_in: float, b: float):
@@ -382,21 +443,23 @@ def _flux_integrand_factory(c: float, r_in: float, b: float):
 
 
 def _flux_quad(integrand, ramp: float, lo: float, hi: float, tol: float) -> float:
-    """Height gain int 2 xi u'(xi) dxi over [lo, hi] by `_quad_checked`.
+    """Height gain int 2 xi u'(xi) dxi over [lo, hi] by `_adaptive_gauss_legendre`.
 
     The integrand's nearest singularity is i * ramp, so near xi = 0 it varies
-    on the scale max(xi, ramp).  quad's outermost nodes sit (hi - lo) / 460
-    inside the range, so a ramp far narrower than the range falls between them
-    unseen by the error estimate (a flux 1.3e-10 below the extremal one over
-    [1, 4] gained 1.4e-5 too much height).  Such a range is cut at hi / 4^k
-    down to that scale.
+    on the scale max(xi, ramp).  A ramp far narrower than a panel falls
+    between the nodes of both rules, which then agree on the plateau (a flux
+    1.3e-10 below the extremal one over [1, 4] gained 1.4e-5 too much height
+    under a rule that stepped over it).  Such a range is cut at hi / 4^k down
+    to that scale before the rule starts.
     """
-    points = None
+    edges = [lo, hi]
     scale = max(lo, ramp)
     if ramp > 0 and scale < (hi - lo) / 64.0:
-        points = hi / 4.0 ** np.arange(1, math.ceil(math.log(hi / scale, 4.0)))
-    return _quad_checked(
-        lambda xi: 2.0 * xi * integrand(xi), lo, hi, tol, "flux height", points=points
+        cuts = hi / 4.0 ** np.arange(math.ceil(math.log(hi / scale, 4.0)) - 1, 0, -1)
+        edges = [lo, *cuts, hi]
+    density = lambda xi: 2.0 * xi * integrand(xi)
+    return _quadrature(
+        lambda t: _adaptive_gauss_legendre(density, edges, t), tol, "flux height"
     )
 
 
@@ -407,18 +470,18 @@ def _flux_profile(integrand, ramp: float, r_in: float, nodes, tol: float):
     xi = sqrt(r - r_in), where the integrand is smooth.  Every interval is
     integrated at once by the 16-point Gauss-Legendre rule, and its distance
     from the 8-point rule is its error estimate.  An interval whose estimate
-    misses the bound quad's own estimate must meet, max(tol, 1e-13 |value|),
-    is integrated again by quad; near the extremal flux that is the first
-    interval, over which the integrand climbs to its plateau.
+    misses max(tol, 1e-13 |value|), or whose ramp both rules step over, is
+    integrated again by `_flux_quad`; near the extremal flux that is the
+    first interval, over which the integrand climbs to its plateau.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol={tol:g} must be finite and positive")
     xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
     half, mid = 0.5 * np.diff(xi)[:, None], 0.5 * (xi[1:] + xi[:-1])[:, None]
-    density = lambda z: 2.0 * z * integrand(z)
-    coarse, fine = ((half * density(mid + half * x)) @ w for x, w in _GAUSS_LEGENDRE)
+    z = mid + half * _GL_NODES
+    coarse, fine = (2.0 * z * integrand(z) @ _GL_WEIGHTS * half).T
     # a ramp far narrower than its interval falls between the nodes of both
-    # rules, which then agree on the plateau; quad cuts such an interval
+    # rules, which then agree on the plateau; _flux_quad cuts such an interval
     narrow = (ramp > 0) & (np.maximum(xi[:-1], ramp) < np.diff(xi) / 64.0)
     missed = narrow | ~(np.abs(fine - coarse) <= np.maximum(tol, _QUAD_REL * np.abs(fine)))
     for k in np.flatnonzero(missed):
@@ -439,6 +502,42 @@ def flux_height_difference(
         raise ValueError(f"flux must lie in [0, g(r_in)] = [0, {g_in:.6g}]")
     integrand, ramp = _flux_integrand_factory(c, r_in, (g_in - c) * (g_in + c))
     return _flux_quad(integrand, ramp, 0.0, math.sqrt(r_out - r_in), tol)
+
+
+def _secant_root(fn, a: float, b: float, fa: float, fb: float,
+                 xtol: float = 1e-15, rtol: float = 8.9e-16) -> float:
+    """Root of fn in the bracket [a, b], fa = fn(a) and fb = fn(b) of opposite signs.
+
+    A safeguarded secant: the step from the best point uses the secant
+    through the previous one, and falls back to the bracket's midpoint when
+    it leaves the nearer half of the bracket or does not halve the step
+    before last.  A step shorter than the tolerance is stretched to it, so
+    the bracket closes.  Stops as brentq does, once half the bracket is
+    within (xtol + rtol |x|) / 2 of the best point x.
+    """
+    x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    while True:
+        if f_pre != 0 and f_cur != 0 and (f_pre < 0) != (f_cur < 0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        tol = 0.5 * (xtol + rtol * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0 or abs(s_bis) < tol:
+            return x_cur
+        s_try = math.nan
+        if abs(s_pre) > tol and abs(f_cur) < abs(f_pre):
+            s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        f_cur = fn(x_cur)
 
 
 def radial_mse_solve(
@@ -478,7 +577,6 @@ def radial_mse_solve(
         gap = (g_in * math.cos(phi)) ** 2 if phi < 0.5 * math.pi else 0.0
         return _flux_integrand_factory(g_in * math.sin(phi), r_in, gap)
 
-    @functools.cache
     def height(phi):
         return _flux_quad(*flux(phi), 0.0, math.sqrt(r_out - r_in), quad_tol)
 
@@ -490,9 +588,8 @@ def radial_mse_solve(
         if target - attain > max(10.0 * tol, 1e-8 * (1.0 + target)):
             raise NoAdmissibleFluxError(target, attain)
         if target < attain:
-            from scipy.optimize import brentq
-
-            phi = brentq(lambda p: height(p) - target, 0.0, phi, xtol=1e-15, rtol=8.9e-16)
+            # flux 0 has height 0 exactly, so the bracket costs no evaluation
+            phi = _secant_root(lambda p: height(p) - target, 0.0, phi, -target, attain - target)
 
     sign = math.copysign(1.0, delta)
     heights, derivs = _flux_profile(*flux(phi), r_in, nodes, quad_tol)

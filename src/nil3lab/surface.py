@@ -212,23 +212,25 @@ def geodesic_circle_curvature(r):
 def orbit_circumference(r: float, tol: float = 1e-12) -> float:
     """Length of the circle-action orbit through radius r, by quadrature.
 
-    Numeric oracle for the warp: the value equals 2*pi*g(r).  tol is the
-    absolute accuracy asked of the quadrature; QuadratureError is raised when
-    it is below the float spacing of the length (r above about 60 at the
-    default tol).
+    Numeric oracle for the warp: the value equals 2*pi*g(r).  The speed comes
+    from the metric along the orbit and is integrated by the periodic
+    trapezoid rule.  tol is the absolute accuracy asked of the quadrature;
+    QuadratureError is raised when it is below the float spacing of the
+    length (r above about 60 at the default tol).
     """
-    from .radial import _quad_checked  # radial imports this module
+    from .radial import _periodic_trapezoid, _quadrature  # radial imports this module
 
     if r < 0:
         raise ValueError("orbit radius must be nonnegative")
     rho = r / SQRT2
 
     def speed(phi):
-        p = ChartPoint(rho * math.cos(phi), rho * math.sin(phi), 0.0)
-        tang = np.array([-rho * math.sin(phi), rho * math.cos(phi), 0.0])
-        return math.sqrt(metric_closed_form(p).inner(tang, tang))
+        x, y = rho * np.cos(phi), rho * np.sin(phi)
+        tang = np.stack([-y, x, np.zeros_like(x)], axis=-1)
+        gram = metric_closed_form(ChartPoint(x, y, 0.0)).matrix()
+        return np.sqrt(np.einsum("ni,nij,nj->n", tang, gram, tang))
 
-    return _quad_checked(speed, 0.0, 2.0 * math.pi, tol, "orbit circumference")
+    return _quadrature(lambda t: _periodic_trapezoid(speed, t), tol, "orbit circumference")
 
 
 def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4) -> float:

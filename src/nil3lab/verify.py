@@ -22,7 +22,6 @@ independent oracles.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -40,7 +39,7 @@ from .nilcore import (
     metric_closed_form,
 )
 from . import surface as sf
-from .radial import CatenoidParams, catenoid_height, t0_min
+from .radial import CatenoidParams, catenoid_height, catenoid_profile, t0_min
 
 SQRT2 = math.sqrt(2.0)
 
@@ -182,15 +181,22 @@ def catenoid_sample(
     tol: float = 1e-13,
     fd_step: float = 2e-4,
 ) -> SurfaceSample:
-    """Surface of rotation of the catenoid profile, parametrized by (t, angle)."""
+    """Surface of rotation of the catenoid profile, parametrized by (t, angle).
+
+    The n_t >= 2 rings run from the neck t0 to tmax > t0.
+    """
     t_grid = np.linspace(params.t0, tmax, n_t)
     th_grid = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    # one quadrature per profile parameter, not one per vertex
-    height = functools.lru_cache(maxsize=None)(lambda tt: catenoid_height(params, tt, tol))
+    # the ring heights come from one cumulative profile pass; an off-ring
+    # parameter (a finite-difference stencil) takes one quadrature of its own
+    rings = catenoid_profile(params, t_grid, tol)
+    heights = dict(zip(t_grid.tolist(), (rings.value / SQRT2).tolist()))
 
     def chart_map(tt, phi):
+        if tt not in heights:
+            heights[tt] = catenoid_height(params, tt, tol)
         rho = tt / SQRT2
-        return (rho * math.cos(phi), rho * math.sin(phi), height(tt))
+        return (rho * math.cos(phi), rho * math.sin(phi), heights[tt])
 
     return SurfaceSample(chart_map, t_grid, th_grid, fd_step=fd_step, periodic_v=True)
 

@@ -22,11 +22,16 @@ def test_slice_mesh_counts():
 
 def test_periodic_mesh_seam_identified(monkeypatch):
     params = rd.CatenoidParams(3.0, 1.0)
-    heights = []
+    heights, profiles = [], []
     monkeypatch.setattr(vf, "catenoid_height", lambda *a: heights.append(a) or rd.catenoid_height(*a))
+    monkeypatch.setattr(vf, "catenoid_profile", lambda *a: profiles.append(a) or rd.catenoid_profile(*a))
     sample = vf.catenoid_sample(params, 4.0, n_t=8, n_theta=12)
     verts, faces = meshio.surface_mesh(sample)
-    assert len(heights) == 8  # one quadrature per profile ring, not per vertex
+    # the ring heights come from one profile pass, not one quadrature per ring
+    assert len(profiles) == 1 and heights == []
+    ring_heights = rd.catenoid_profile(params, sample.u_grid, 1e-13).value / np.sqrt(2.0)
+    offsets = verts[:, 2] - verts[:, 0] * verts[:, 1] / 2.0
+    assert np.max(np.abs(offsets - np.repeat(ring_heights, 12))) <= 1e-15
     assert len(verts) == 8 * 12
     assert len(faces) == 2 * 7 * 12  # closed strip in the angular direction
     meshio.check_mesh(verts, faces)
@@ -444,31 +449,37 @@ def test_cli_solver_failure_exit_code(capsys):
 
 _IMPORT_PROBE = """
 import json, sys
-lazy = ("scipy.integrate", "scipy.optimize", "scipy.interpolate")
-loaded = lambda: json.dumps([m for m in lazy if m in sys.modules])
 scipy_loaded = lambda: json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 import nil3lab, nil3lab.cli
-from nil3lab import radial, solver, surface
+from nil3lab import radial, solver, surface, verify
 print(scipy_loaded())
 solver.asymptotic_solve(surface.BoundaryData.cosine(1.0),
                         solver.SolverConfig(n_r=33, n_theta=16), radii=(8.0,))
 print(scipy_loaded())
 radial.flux_height_difference(1.0, 1.0, 2.0)
-print(loaded())
+attain = radial.flux_height_difference(surface.warp_g(1.0), 1.0, 2.0)
+prof = radial.radial_mse_solve(1.0, 2.0, 0.0, 0.5 * attain)
+assert 0 < prof.flux < surface.warp_g(1.0)  # the root-find ran
+radial.catenoid_height(radial.CatenoidParams(3.0, 1.0), 2.0)
+surface.orbit_circumference(2.0)
+sol = solver.exterior_solve(1.0, 2.0, solver.SolverConfig(n_r=33, n_theta=16, schedule=(4.0, 32.0)))
+verify.run_claim_checks()
+print(scipy_loaded())
+verify.graph_embed(sol.u, sol.grid)
+print(scipy_loaded())
 """
 
 
-def test_import_loads_quadrature_root_finder_and_spline_on_first_use():
+def test_only_the_oracle_spline_loads_scipy():
     # a counter gate on the import set, never on seconds: the solver's
-    # kernels are numpy only, so neither `import nil3lab` nor a disk solve
-    # loads any scipy module; quadrature, root-finding and the spline are
-    # imported on first use
+    # kernels, the quadratures and the flux root-find are numpy only, so
+    # importing nil3lab, disk and annulus solves, the exterior exhaustion and
+    # the claim checks load no scipy module; the spline of the
+    # mean-curvature oracle, graph_embed, is the one scipy import, on first use
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
-    after_import, after_solve, after_flux = map(json.loads, out.splitlines())
-    assert after_import == []
-    assert after_solve == []
-    # scipy.integrate pulls in scipy.optimize itself
-    assert "scipy.integrate" in after_flux
+    after_import, after_solve, after_exterior, after_spline = map(json.loads, out.splitlines())
+    assert after_import == after_solve == after_exterior == []
+    assert "scipy.interpolate" in after_spline

@@ -321,6 +321,41 @@ def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(s):
     assert np.max(np.abs(prof.value[1:] - heights)) <= 1e-12
 
 
+@pytest.mark.parametrize("r_in", [0.3, 1.0, 2.0, 4.0])
+def test_flux_heights_match_scipy_quad_up_to_the_extremal_flux(r_in):
+    # scipy's adaptive Gauss-Kronrod quad is the reference here only; with
+    # the cut points hi / 4^k of a narrow ramp it integrated the heights
+    # before the Gauss-Legendre rule did
+    from scipy.integrate import quad
+
+    g = warp_g(r_in)
+    for r_out in (r_in + 0.5, 30.0, 1e3):
+        hi = math.sqrt(r_out - r_in)
+        for share in (0.0, 1e-6, 0.5, 0.9, 1 - 1e-6, 1 - 1e-10, 1.0):
+            c = share * g
+            integrand, ramp = rd._flux_integrand_factory(c, r_in, (g - c) * (g + c))
+            points = None
+            if 0 < ramp < hi / 64.0:
+                points = hi / 4.0 ** np.arange(1, math.ceil(math.log(hi / ramp, 4.0)))
+            for tol in (1e-12, 1e-10):
+                ref, _ = quad(lambda xi: 2.0 * xi * integrand(xi), 0.0, hi, epsabs=0.25 * tol,
+                              epsrel=1e-13, limit=300, points=points)
+                height = rd.flux_height_difference(c, r_in, r_out, tol)
+                assert abs(height - ref) <= max(tol, 1e-13 * abs(ref)), (r_out, share, tol)
+
+
+def test_adaptive_rule_reports_a_cap_as_a_quadrature_error():
+    rule = lambda fn: lambda tol: rd._adaptive_gauss_legendre(fn, [0.0, 1.0], tol)
+    assert abs(rd._quadrature(rule(np.exp), 1e-12, "exp") - math.expm1(1.0)) <= 1e-15
+    # a jump off every bisection point is never resolved: its panel is
+    # halved until the depth cap
+    with pytest.raises(rd.QuadratureError, match="error estimate inf above tol"):
+        rd._quadrature(rule(lambda x: (x > 1.0 / 3.0) * 1.0), 1e-10, "jump")
+    # a NaN integrand halves every panel until the panel cap
+    with pytest.raises(rd.QuadratureError, match="error estimate inf above tol"):
+        rd._quadrature(rule(lambda x: x * math.nan), 1e-10, "nan")
+
+
 @pytest.mark.parametrize("case", ["exterior", "near-extremal"])
 def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypatch):
     if case == "exterior":
@@ -331,9 +366,9 @@ def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypat
         u_out = (1.0 - 1e-6) * rd.flux_height_difference(warp_g(1.0), 1.0, r_out)
     xi = np.sqrt(nodes - 1.0)
     quad_calls, fluxes = [], []
-    quad, factory = rd._quad_checked, rd._flux_integrand_factory
-    monkeypatch.setattr(rd, "_quad_checked", lambda fn, lo, hi, *a, **k:
-                        quad_calls.append((lo, hi)) or quad(fn, lo, hi, *a, **k))
+    quad, factory = rd._flux_quad, rd._flux_integrand_factory
+    monkeypatch.setattr(rd, "_flux_quad", lambda fn, ramp, lo, hi, tol:
+                        quad_calls.append((lo, hi)) or quad(fn, ramp, lo, hi, tol))
     monkeypatch.setattr(rd, "_flux_integrand_factory", lambda *a: fluxes.append(a) or factory(*a))
     prof = rd.radial_mse_solve(1.0, r_out, 0.0, u_out, nodes=nodes)
     monkeypatch.undo()
