@@ -504,8 +504,7 @@ def flux_height_difference(
     return _flux_quad(integrand, ramp, 0.0, math.sqrt(r_out - r_in), tol)
 
 
-def _secant_root(fn, a: float, b: float, fa: float, fb: float,
-                 xtol: float = 1e-15, rtol: float = 8.9e-16) -> float:
+def _secant_root(fn, a: float, b: float, fa: float, fb: float) -> float:
     """Root of fn in the bracket [a, b], fa = fn(a) and fb = fn(b) of opposite signs.
 
     A safeguarded secant: the step from the best point uses the secant
@@ -513,7 +512,8 @@ def _secant_root(fn, a: float, b: float, fa: float, fb: float,
     it leaves the nearer half of the bracket or does not halve the step
     before last.  A step shorter than the tolerance is stretched to it, so
     the bracket closes.  Stops as brentq does, once half the bracket is
-    within (xtol + rtol |x|) / 2 of the best point x.
+    within (xtol + rtol |x|) / 2 of the best point x, with xtol = 1e-15 and
+    rtol = 8.9e-16.
     """
     x_pre, f_pre, x_cur, f_cur = a, fa, b, fb
     x_blk = f_blk = s_pre = s_cur = 0.0
@@ -524,11 +524,11 @@ def _secant_root(fn, a: float, b: float, fa: float, fb: float,
         if abs(f_blk) < abs(f_cur):
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        tol = 0.5 * (xtol + rtol * abs(x_cur))
+        tol = 0.5 * (1e-15 + 8.9e-16 * abs(x_cur))
         s_bis = 0.5 * (x_blk - x_cur)
         if f_cur == 0 or abs(s_bis) < tol:
             return x_cur
-        s_try = math.nan
+        s_try = math.nan  # fails the test below, so no secant step means bisection
         if abs(s_pre) > tol and abs(f_cur) < abs(f_pre):
             s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
         if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - tol):

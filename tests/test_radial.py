@@ -323,9 +323,9 @@ def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(s):
 
 @pytest.mark.parametrize("r_in", [0.3, 1.0, 2.0, 4.0])
 def test_flux_heights_match_scipy_quad_up_to_the_extremal_flux(r_in):
-    # scipy's adaptive Gauss-Kronrod quad is the reference here only; with
-    # the cut points hi / 4^k of a narrow ramp it integrated the heights
-    # before the Gauss-Legendre rule did
+    # scipy's adaptive Gauss-Kronrod quad, given the same cut points
+    # hi / 4^k of a narrow ramp, is an independent reference; only the tests
+    # import it
     from scipy.integrate import quad
 
     g = warp_g(r_in)
