@@ -8,6 +8,12 @@ gap b = g(r_in)^2 - c^2 free of cancellation.  A catenoid (c, t0) is the
 graph of flux c/(2 sqrt 2) from r = t0; `radial_mse_solve` root-finds the
 flux on an angle phi, with c = g(r_in) sin(phi) and b = (g(r_in) cos(phi))^2.
 
+Every integral of the package is taken by one adaptive Gauss-Legendre
+quadrature, `_quadrature`, which returns the integral from the first edge to
+each edge it is given: a whole-range height, the heights at every node of a
+sampled profile and the orbit length of `surface.orbit_circumference` are
+all one call of it, checked against one error bound.
+
 Heights are stored in fiber arc-length units (sqrt(2) times the chart zeta
 offset) except where a function explicitly returns the chart offset h.
 """
@@ -25,8 +31,8 @@ SQRT2 = math.sqrt(2.0)
 # relative target of every quadrature, and the relative error bound a value is
 # accepted against besides the absolute tolerance
 _QUAD_REL = 1e-13
-# the adaptive Gauss-Legendre rule gives up past this many halvings of a
-# panel or this many live panels
+# the quadrature gives up past this many halvings of a panel or this many
+# live panels
 _MAX_LEVELS, _MAX_PANELS = 50, 4096
 
 __all__ = [
@@ -72,8 +78,8 @@ def t0_min(c: float) -> float:
 
     Satisfies t0_min^2 (t0_min^2 + 8) = c^2 exactly.
     """
-    if c <= 0:
-        raise ValueError("flux parameter c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("flux parameter c must be finite and positive")
     return math.sqrt(math.sqrt(c * c + 16.0) - 4.0)
 
 
@@ -96,17 +102,57 @@ class CatenoidParams:
             )
 
 
-def _quadrature(rule, tol: float, ctx: str) -> float:
-    """Value of rule(tol) -> (value, error estimate), checked against tol.
+def _quadrature(fn, edges, tol: float, ctx: str) -> np.ndarray:
+    """Integrals of fn from edges[0] to each edge, checked against tol.
 
-    The gateway of every quadrature here.  The estimate is accepted against
-    max(tol, 1e-13 |value|), the bound the rules aim at, so a tol finer than
-    the float spacing at the value would pass unmet; that tol is refused
-    first.  A rule that gives up reports an infinite estimate.
+    The one quadrature of the package.  Every interval between the edges
+    starts as panels no wider than an eighth of the whole range, integrated
+    by the 8- and 16-point Gauss-Legendre rules, every live panel in one call
+    of fn per level.  A panel whose two rules differ by at most its length
+    share of max(tol, 1e-13 |value|) is kept at its 16-point value; the
+    others are halved.  The kept differences add up to the error estimate,
+    so the integral to every edge meets that bound, value being the whole
+    integral.  A tol finer than the float spacing at the value would pass
+    unmet, so it raises QuadratureError, and so does an estimate above the
+    bound, infinite once a panel has been halved _MAX_LEVELS times or more
+    than _MAX_PANELS are live.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"{ctx}: tol must be finite and positive")
-    val, err = rule(tol)
+    edges = np.asarray(edges, dtype=float)
+    total = edges[-1] - edges[0]
+    if total == 0:
+        return np.zeros(edges.shape)
+    gaps = edges[1:] - edges[:-1]
+    count = np.ceil(gaps / (total / 8.0)).astype(int)
+    width = (gaps / np.maximum(count, 1)).repeat(count)
+    step = np.arange(width.size) - (count.cumsum() - count).repeat(count)
+    lo = edges[:-1].repeat(count) + width * step
+    share, kept_lo, kept_val, val, err = 1.0 / total, [], [], 0.0, 0.0
+    for level in range(_MAX_LEVELS):
+        half = 0.5 * width
+        both = fn((lo + half)[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS
+        coarse, fine = (both * half[:, None]).T
+        miss = np.abs(fine - coarse)
+        kept = miss <= width * (share * max(tol, _QUAD_REL * abs(val + fine.sum())))
+        kept_lo.append(lo[kept])
+        kept_val.append(fine[kept])
+        val += kept_val[-1].sum()
+        err += miss[kept].sum()
+        if kept.all():
+            break
+        live = ~kept
+        lo, half = lo[live], half[live]
+        if level == _MAX_LEVELS - 1 or 2 * lo.size > _MAX_PANELS:
+            err = math.inf  # give up
+            break
+        lo, width = np.concatenate([lo, lo + half]), np.concatenate([half, half])
+    # the panels tile the range, so the integral to an edge sums the kept
+    # panels whose left ends lie in the intervals before it; the whole
+    # integral keeps the sum the bound was checked against
+    owner = edges.searchsorted(np.concatenate(kept_lo), "right")
+    heights = np.bincount(owner, np.concatenate(kept_val), minlength=edges.size).cumsum()
+    heights[-1] = val
     if math.isfinite(val) and tol < math.ulp(val):
         raise QuadratureError(
             f"{ctx}: tol {tol:.3g} is below the float spacing {math.ulp(val):.3g} "
@@ -114,76 +160,21 @@ def _quadrature(rule, tol: float, ctx: str) -> float:
         )
     if not err <= max(tol, _QUAD_REL * abs(val)):
         raise QuadratureError(f"{ctx}: error estimate {err:.3g} above tol {tol:.3g}")
-    return val
+    return heights
 
 
-def _adaptive_gauss_legendre(fn, edges, tol: float) -> tuple[float, float]:
-    """Integral of fn over [edges[0], edges[-1]] and its error estimate.
-
-    Every interval between the edges starts as eight panels, integrated by
-    the 8- and 16-point Gauss-Legendre rules, every live panel in one call
-    of fn per level.  A panel whose two rules differ by at most its share of
-    the length of max(tol, 1e-13 |value|) is kept at its 16-point value; the
-    others are halved.  The estimate is the sum of the kept differences, or
-    infinite once a panel has been halved _MAX_LEVELS times or more than
-    _MAX_PANELS are live.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges[-1] == edges[0]:
-        return 0.0, 0.0
-    width = np.repeat(np.diff(edges) / 8.0, 8)
-    lo = np.repeat(edges[:-1], 8) + width * np.tile(np.arange(8.0), len(edges) - 1)
-    share = 1.0 / (edges[-1] - edges[0])
-    val = err = 0.0
-    for _ in range(_MAX_LEVELS):
-        half = 0.5 * width
-        both = fn((lo + half)[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS
-        coarse, fine = (both * half[:, None]).T
-        miss = np.abs(fine - coarse)
-        kept = miss <= width * (share * max(tol, _QUAD_REL * abs(val + fine.sum())))
-        val += fine[kept].sum()
-        err += miss[kept].sum()
-        if kept.all():
-            return val, err
-        live = ~kept
-        lo, half = lo[live], half[live]
-        if 2 * lo.size > _MAX_PANELS:
-            break
-        lo, width = np.concatenate([lo, lo + half]), np.concatenate([half, half])
-    return val + fine[live].sum(), math.inf
-
-
-def _periodic_trapezoid(fn, tol: float) -> tuple[float, float]:
-    """Integral of the 2 pi-periodic fn over a period and its error estimate.
-
-    The trapezoid rule converges geometrically for an analytic periodic
-    integrand (Trefethen and Weideman, SIAM Review 56 (2014) 385-458).  The
-    node count doubles from 8 until two values agree within
-    max(tol, 1e-13 |value|); their distance is the estimate, infinite when
-    2^16 nodes are not enough.
-    """
-    n = 8
-    val = 2.0 * math.pi / n * float(fn(np.arange(n) * (2.0 * math.pi / n)).sum())
-    while n < 2**16:
-        # the doubled rule keeps the old nodes and adds the midpoints
-        mids = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
-        val, old = 0.5 * val + math.pi / n * float(fn(mids).sum()), val
-        n *= 2
-        if abs(val - old) <= max(tol, _QUAD_REL * abs(val)):
-            return val, abs(val - old)
-    return val, math.inf
-
-
-def _catenoid_integrand(params: CatenoidParams, t: float):
-    """Flux integrand and ramp width of the catenoid, for heights out to radius t.
+def _catenoid_integrand(params: CatenoidParams, t_lo: float, t_hi: float):
+    """Flux integrand and ramp width of the catenoid, for heights at radii in [t_lo, t_hi].
 
     The catenoid is the flux-c/(2 sqrt 2) graph from r = t0, as
     t^2 (t^2 + 8) - c^2 = 8 (g(t)^2 - c^2/8).  With a = t0_min(c)^2 its neck
     gap (t0^2 - a)(t0^2 + a + 8)/8 is exactly 0 at the minimal neck; the clamp
     covers the 1e-12 by which t0 may lie below it.
     """
-    if t < params.t0 - 1e-12:
-        raise ValueError(f"profile radius t={t} below the neck t0={params.t0}")
+    if not t_hi < math.inf:
+        raise ValueError(f"profile radius t={t_hi} must be finite")
+    if t_lo < params.t0 - 1e-12:
+        raise ValueError(f"profile radius t={t_lo} below the neck t0={params.t0}")
     a = t0_min(params.c) ** 2
     t0_sq = params.t0 * params.t0
     gap = max(t0_sq - a, 0.0) * (t0_sq + a + 8.0) / 8.0
@@ -192,9 +183,9 @@ def _catenoid_integrand(params: CatenoidParams, t: float):
 
 def catenoid_height(params: CatenoidParams, t: float, tol: float = 1e-10) -> float:
     """Chart zeta-offset h(t) of the catenoid profile at radius t >= t0."""
-    integrand, ramp = _catenoid_integrand(params, t)
+    integrand, ramp = _catenoid_integrand(params, t, t)
     hi = math.sqrt(max(t - params.t0, 0.0))
-    return _flux_quad(integrand, ramp, 0.0, hi, SQRT2 * tol) / SQRT2
+    return float(_flux_quad(integrand, ramp, [0.0, hi], SQRT2 * tol)[-1]) / SQRT2
 
 
 def catenoid_profile(
@@ -208,11 +199,13 @@ def catenoid_profile(
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     t0 = params.t0
-    integrand, ramp = _catenoid_integrand(params, t_nodes.min(initial=t0))
-    lead = [t0] if t_nodes.size and t_nodes[0] > t0 else []  # heights accumulate from the neck
-    heights, derivs = _flux_profile(integrand, ramp, t0, np.concatenate([lead, t_nodes]), SQRT2 * tol)
-    k = len(lead)
-    return RadialProfile(t_nodes, heights[k:], derivs[k:], flux=params.c / (2.0 * SQRT2))
+    integrand, ramp = _catenoid_integrand(params, t_nodes.min(initial=t0), t_nodes.max(initial=t0))
+    xi = np.sqrt(np.maximum(t_nodes - t0, 0.0))
+    # heights accumulate from the neck, xi = 0
+    heights = _flux_quad(integrand, ramp, np.concatenate([[0.0], xi]), SQRT2 * tol)[1:]
+    with np.errstate(divide="ignore"):
+        derivs = integrand(xi)
+    return RadialProfile(t_nodes, heights, derivs, flux=params.c / (2.0 * SQRT2))
 
 
 def catenoid_flux_check(params: CatenoidParams, r: float, tol: float = 1e-13) -> float:
@@ -442,66 +435,38 @@ def _flux_integrand_factory(c: float, r_in: float, b: float):
     return integrand, math.sqrt(b / (2.0 * r_in * (1.0 + r_in * r_in / 4.0)))
 
 
-def _flux_quad(integrand, ramp: float, lo: float, hi: float, tol: float) -> float:
-    """Height gain int 2 xi u'(xi) dxi over [lo, hi] by `_adaptive_gauss_legendre`.
+def _flux_quad(integrand, ramp: float, edges, tol: float) -> np.ndarray:
+    """Heights int 2 xi u'(xi) dxi from edges[0] to each edge, by `_quadrature`.
 
     The integrand's nearest singularity is i * ramp, so near xi = 0 it varies
     on the scale max(xi, ramp).  A ramp far narrower than a panel falls
     between the nodes of both rules, which then agree on the plateau (a flux
     1.3e-10 below the extremal one over [1, 4] gained 1.4e-5 too much height
-    under a rule that stepped over it).  Such a range is cut at hi / 4^k down
-    to that scale before the rule starts.
+    under a rule that stepped over it).  Every interval [lo, hi] of such a
+    width is cut at hi / 4^k down to that scale before the rule starts.
     """
-    edges = [lo, hi]
-    scale = max(lo, ramp)
-    if ramp > 0 and scale < (hi - lo) / 64.0:
-        cuts = hi / 4.0 ** np.arange(math.ceil(math.log(hi / scale, 4.0)) - 1, 0, -1)
-        edges = [lo, *cuts, hi]
-    density = lambda xi: 2.0 * xi * integrand(xi)
-    return _quadrature(
-        lambda t: _adaptive_gauss_legendre(density, edges, t), tol, "flux height"
-    )
-
-
-def _flux_profile(integrand, ramp: float, r_in: float, nodes, tol: float):
-    """Heights from r_in = nodes[0] and derivatives u' at the nodes.
-
-    The heights are cumulative sums over the intervals between the nodes in
-    xi = sqrt(r - r_in), where the integrand is smooth.  Every interval is
-    integrated at once by the 16-point Gauss-Legendre rule, and its distance
-    from the 8-point rule is its error estimate.  An interval whose estimate
-    misses max(tol, 1e-13 |value|), or whose ramp both rules step over, is
-    integrated again by `_flux_quad`; near the extremal flux that is the
-    first interval, over which the integrand climbs to its plateau.
-    """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol={tol:g} must be finite and positive")
-    xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
-    half, mid = 0.5 * np.diff(xi)[:, None], 0.5 * (xi[1:] + xi[:-1])[:, None]
-    z = mid + half * _GL_NODES
-    coarse, fine = (2.0 * z * integrand(z) @ _GL_WEIGHTS * half).T
-    # a ramp far narrower than its interval falls between the nodes of both
-    # rules, which then agree on the plateau; _flux_quad cuts such an interval
-    narrow = (ramp > 0) & (np.maximum(xi[:-1], ramp) < np.diff(xi) / 64.0)
-    missed = narrow | ~(np.abs(fine - coarse) <= np.maximum(tol, _QUAD_REL * np.abs(fine)))
-    for k in np.flatnonzero(missed):
-        fine[k] = _flux_quad(integrand, ramp, xi[k], xi[k + 1], tol)
-    with np.errstate(divide="ignore"):
-        derivs = integrand(xi)
-    return np.concatenate([[0.0], np.cumsum(fine)]), derivs
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    scale = np.maximum(lo, ramp)
+    narrow = (64.0 * scale < hi - lo).nonzero()[0] if ramp > 0 else ()
+    cuts = [hi[k] / 4.0 ** np.arange(math.ceil(math.log(hi[k] / scale[k], 4.0)) - 1, 0, -1)
+            for k in narrow]
+    cut = np.sort(np.concatenate([edges, *cuts])) if cuts else edges
+    heights = _quadrature(lambda xi: 2.0 * xi * integrand(xi), cut, tol, "flux height")
+    return heights[cut.searchsorted(edges)] if cuts else heights
 
 
 def flux_height_difference(
     c: float, r_in: float, r_out: float, tol: float = 1e-12
 ) -> float:
     """Height gain of the radial minimal graph with flux 0 <= c <= g(r_in) over [r_in, r_out]."""
-    if not 0 < r_in < r_out:
-        raise ValueError("need 0 < r_in < r_out")
+    if not 0 < r_in < r_out < math.inf:
+        raise ValueError("need 0 < r_in < r_out < inf")
     g_in = warp_g(r_in)
     if not 0 <= c <= g_in:
         raise ValueError(f"flux must lie in [0, g(r_in)] = [0, {g_in:.6g}]")
     integrand, ramp = _flux_integrand_factory(c, r_in, (g_in - c) * (g_in + c))
-    return _flux_quad(integrand, ramp, 0.0, math.sqrt(r_out - r_in), tol)
+    return float(_flux_quad(integrand, ramp, [0.0, math.sqrt(r_out - r_in)], tol)[-1])
 
 
 def _secant_root(fn, a: float, b: float, fa: float, fb: float) -> float:
@@ -555,18 +520,21 @@ def radial_mse_solve(
     neck gap (g(r_in) cos(phi))^2 keeps its digits as c nears g(r_in), where
     c itself cannot.  The extremal flux is the vertical-tangent profile, so
     requested differences beyond its height gain raise NoAdmissibleFluxError
-    carrying the attainable maximum.  The heights at the nodes are one
-    cumulative pass at the quadrature tolerance min(tol / 4, 1e-12).
+    carrying the attainable maximum.  The heights at the nodes come from one
+    quadrature over the nodes at the tolerance min(tol / 4, 1e-12), which
+    each height from r_in meets.
     """
-    if not 0 < r_in < r_out:
-        raise ValueError("need 0 < r_in < r_out")
+    if not 0 < r_in < r_out < math.inf:
+        raise ValueError("need 0 < r_in < r_out < inf")
+    if not (math.isfinite(u_in) and math.isfinite(u_out)):
+        raise ValueError("boundary heights must be finite")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol={tol:g} must be finite and positive")
     if nodes is None:
         nodes = np.linspace(r_in, r_out, 513)
     nodes = np.asarray(nodes, dtype=float)
-    if abs(nodes[0] - r_in) > 1e-12 or abs(nodes[-1] - r_out) > 1e-12:
-        raise ValueError("nodes must span [r_in, r_out]")
+    if not np.all(np.isfinite(nodes)) or np.abs(nodes[[0, -1]] - [r_in, r_out]).max() > 1e-12:
+        raise ValueError("nodes must be finite and span [r_in, r_out]")
 
     delta = u_out - u_in
     g_in = warp_g(r_in)
@@ -578,7 +546,7 @@ def radial_mse_solve(
         return _flux_integrand_factory(g_in * math.sin(phi), r_in, gap)
 
     def height(phi):
-        return _flux_quad(*flux(phi), 0.0, math.sqrt(r_out - r_in), quad_tol)
+        return _flux_quad(*flux(phi), [0.0, math.sqrt(r_out - r_in)], quad_tol)[-1]
 
     phi = 0.0
     if delta != 0:
@@ -592,8 +560,11 @@ def radial_mse_solve(
             phi = _secant_root(lambda p: height(p) - target, 0.0, phi, -target, attain - target)
 
     sign = math.copysign(1.0, delta)
-    heights, derivs = _flux_profile(*flux(phi), r_in, nodes, quad_tol)
-    vals = u_in + sign * heights
+    integrand, ramp = flux(phi)
+    xi = np.sqrt(np.maximum(nodes - r_in, 0.0))
+    with np.errstate(divide="ignore"):
+        derivs = integrand(xi)
+    vals = u_in + sign * _flux_quad(integrand, ramp, xi, quad_tol)
     residual = abs(vals[-1] - u_out)
     flux_c = sign * g_in * math.sin(phi)
     return RadialProfile(nodes, vals, sign * derivs, flux=flux_c, bc_residual=residual)

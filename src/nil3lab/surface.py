@@ -213,24 +213,24 @@ def orbit_circumference(r: float, tol: float = 1e-12) -> float:
     """Length of the circle-action orbit through radius r, by quadrature.
 
     Numeric oracle for the warp: the value equals 2*pi*g(r).  The speed comes
-    from the metric along the orbit and is integrated by the periodic
-    trapezoid rule.  tol is the absolute accuracy asked of the quadrature;
-    QuadratureError is raised when it is below the float spacing of the
-    length (r above about 60 at the default tol).
+    from the metric along the orbit and is integrated over [0, 2 pi] by the
+    package's one quadrature, `radial._quadrature`.  tol is the absolute
+    accuracy asked of it; QuadratureError is raised when it is below the
+    float spacing of the length (r above about 60 at the default tol).
     """
-    from .radial import _periodic_trapezoid, _quadrature  # radial imports this module
+    from .radial import _quadrature  # radial imports this module
 
-    if r < 0:
-        raise ValueError("orbit radius must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ValueError("orbit radius must be finite and nonnegative")
     rho = r / SQRT2
 
     def speed(phi):
         x, y = rho * np.cos(phi), rho * np.sin(phi)
         tang = np.stack([-y, x, np.zeros_like(x)], axis=-1)
         gram = metric_closed_form(ChartPoint(x, y, 0.0)).matrix()
-        return np.sqrt(np.einsum("ni,nij,nj->n", tang, gram, tang))
+        return np.sqrt(np.einsum("...i,...ij,...j->...", tang, gram, tang))
 
-    return _quadrature(lambda t: _periodic_trapezoid(speed, t), tol, "orbit circumference")
+    return float(_quadrature(speed, [0.0, 2.0 * math.pi], tol, "orbit circumference")[-1])
 
 
 def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4) -> float:

@@ -310,12 +310,18 @@ def test_flux_height_resolves_the_ramp_at_any_width(share):
     assert abs(rd.flux_height_difference(c, 1.0, 4.0, 1e-12) - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("s", [0.5, 1.0])
-def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(s):
-    # the m = 32 grid of the exterior acceptance settings, the flux its
-    # default guess takes for boundary gradient s
-    nodes = AnnulusGrid.annulus(1.0, 32.0, 256, 64, 2.0).r
-    c = s * warp_g(1.0) / math.sqrt(1.0 + s * s)
+@pytest.mark.parametrize("share, n_r", [
+    pytest.param(0.5 / math.sqrt(1.25), 256, id="0.5"),
+    pytest.param(1.0 / SQRT2, 256, id="1.0"),
+    pytest.param(1.0 / SQRT2, 1025, id="1.0-1025-nodes"),
+    pytest.param(1.0 - 1e-6, 256, id="near-extremal"),
+])
+def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(share, n_r):
+    # the m = 32 grid of the exterior acceptance settings (and a finer one),
+    # the flux share s / sqrt(1 + s^2) of g(1) its default guess takes for
+    # boundary gradient s (the ids), and a flux near the extremal one
+    nodes = AnnulusGrid.annulus(1.0, 32.0, n_r, 64, 2.0).r
+    c = share * warp_g(1.0)
     prof = rd.radial_mse_solve(1.0, 32.0, 0.0, rd.flux_height_difference(c, 1.0, 32.0), nodes=nodes)
     heights = [rd.flux_height_difference(prof.flux, 1.0, r) for r in nodes[1:]]
     assert np.max(np.abs(prof.value[1:] - heights)) <= 1e-12
@@ -345,19 +351,20 @@ def test_flux_heights_match_scipy_quad_up_to_the_extremal_flux(r_in):
 
 
 def test_adaptive_rule_reports_a_cap_as_a_quadrature_error():
-    rule = lambda fn: lambda tol: rd._adaptive_gauss_legendre(fn, [0.0, 1.0], tol)
-    assert abs(rd._quadrature(rule(np.exp), 1e-12, "exp") - math.expm1(1.0)) <= 1e-15
+    edges = [0.0, 1.0 / 3.0, 0.5, 1.0]
+    heights = rd._quadrature(np.exp, edges, 1e-12, "exp")
+    assert np.max(np.abs(heights - np.expm1(edges))) <= 1e-15
     # a jump off every bisection point is never resolved: its panel is
     # halved until the depth cap
     with pytest.raises(rd.QuadratureError, match="error estimate inf above tol"):
-        rd._quadrature(rule(lambda x: (x > 1.0 / 3.0) * 1.0), 1e-10, "jump")
+        rd._quadrature(lambda x: (x > 1.0 / 3.0) * 1.0, [0.0, 1.0], 1e-10, "jump")
     # a NaN integrand halves every panel until the panel cap
     with pytest.raises(rd.QuadratureError, match="error estimate inf above tol"):
-        rd._quadrature(rule(lambda x: x * math.nan), 1e-10, "nan")
+        rd._quadrature(lambda x: x * math.nan, [0.0, 1.0], 1e-10, "nan")
 
 
 @pytest.mark.parametrize("case", ["exterior", "near-extremal"])
-def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypatch):
+def test_profile_heights_match_the_interval_by_interval_loop(case, monkeypatch):
     if case == "exterior":
         r_out, nodes = 32.0, AnnulusGrid.annulus(1.0, 32.0, 256, 64, 2.0).r
         u_out = rd.flux_height_difference(warp_g(1.0) / SQRT2, 1.0, r_out)
@@ -365,25 +372,54 @@ def test_cumulative_heights_take_quad_only_where_the_rule_misses(case, monkeypat
         r_out, nodes = 4.0, AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
         u_out = (1.0 - 1e-6) * rd.flux_height_difference(warp_g(1.0), 1.0, r_out)
     xi = np.sqrt(nodes - 1.0)
-    quad_calls, fluxes = [], []
+    quad_edges, fluxes = [], []
     quad, factory = rd._flux_quad, rd._flux_integrand_factory
-    monkeypatch.setattr(rd, "_flux_quad", lambda fn, ramp, lo, hi, tol:
-                        quad_calls.append((lo, hi)) or quad(fn, ramp, lo, hi, tol))
+    monkeypatch.setattr(rd, "_flux_quad", lambda fn, ramp, edges, tol:
+                        quad_edges.append(list(edges)) or quad(fn, ramp, edges, tol))
     monkeypatch.setattr(rd, "_flux_integrand_factory", lambda *a: fluxes.append(a) or factory(*a))
     prof = rd.radial_mse_solve(1.0, r_out, 0.0, u_out, nodes=nodes)
     monkeypatch.undo()
-    # the root-find integrates each trial flux over the whole range; the
-    # cumulative pass adds only the intervals the 16-point rule misses
-    root_find = [call for call in quad_calls if call == (0.0, math.sqrt(r_out - 1.0))]
-    fallback = [] if case == "exterior" else [(0.0, xi[1])]
-    assert quad_calls == root_find + fallback
+    # the root-find integrates each trial flux over the whole range, and the
+    # profile is one more quadrature over all the nodes
+    *root_find, profile = quad_edges
+    assert root_find == [[0.0, math.sqrt(r_out - 1.0)]] * len(root_find)
     assert len(root_find) <= 8
+    assert profile == xi.tolist()
     assert prof.bc_residual <= 1e-10
-    # the interval-by-interval loop the pass replaces, for the flux and neck
-    # gap of the profile
+    # the interval-by-interval loop the one quadrature replaces, for the flux
+    # and neck gap of the profile
     integrand, ramp = rd._flux_integrand_factory(*fluxes[-1])
-    loop = np.cumsum([rd._flux_quad(integrand, ramp, lo, hi, 1e-12) for lo, hi in zip(xi, xi[1:])])
+    loop = np.cumsum([rd._flux_quad(integrand, ramp, pair, 1e-12)[-1] for pair in zip(xi, xi[1:])])
     assert np.max(np.abs(prof.value[1:] - loop)) <= 1e-15
+
+
+@pytest.mark.parametrize("side", ["u_in", "u_out"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_radial_mse_solve_refuses_non_finite_boundary_heights(side, value):
+    # both used to return a profile: the extremal one for a non-finite
+    # u_out, with a NaN or infinite bc_residual, and NaN heights for u_in
+    heights = {"u_in": 0.0, "u_out": 1.0, side: value}
+    with pytest.raises(ValueError, match="boundary heights must be finite"):
+        rd.radial_mse_solve(1.0, 3.0, heights["u_in"], heights["u_out"])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("call", [
+    lambda x: rd.flux_height_difference(0.5, 1.0, x),
+    lambda x: rd.flux_height_difference(0.5, x, 3.0),
+    lambda x: rd.radial_mse_solve(1.0, x, 0.0, 1.0),
+    lambda x: rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), x),
+    lambda x: rd.catenoid_profile(rd.CatenoidParams(3.0, 1.0), [1.0, x, 3.0]),
+    lambda x: rd.radial_mse_solve(1.0, 3.0, 0.0, 1.0, nodes=[1.0, x, 3.0]),
+    lambda x: orbit_circumference(x),
+    lambda x: rd.t0_min(x),
+], ids=["flux-r_out", "flux-r_in", "mse-r_out", "catenoid-height", "catenoid-node", "mse-node",
+        "orbit", "t0_min"])
+def test_non_finite_radii_are_refused_before_the_quadrature(call, value):
+    # they used to end in an OverflowError of the ramp cuts, a
+    # QuadratureError (CLI exit 1) or, for t0_min, a NaN
+    with pytest.raises(ValueError, match="finite|need 0 < r_in < r_out < inf"):
+        call(value)
 
 
 @pytest.mark.parametrize("share", [1 - 1e-6, 1 - 1e-7, 1 - 1e-8, 1 - 1e-10, 0.5, 1e-6, 1e-9])

@@ -237,6 +237,12 @@ def test_warp_against_orbit_length():
     for r in (1e-3, 0.5, 2.0, 7.0):
         length = sf.orbit_circumference(r)
         assert abs(length / (2 * math.pi) - sf.warp_g(r)) <= 1e-8
+    # the speed is constant along the orbit, so the quadrature is exact up to
+    # rounding; 59 is near the largest radius whose length still has a float
+    # spacing below the default tol 1e-12
+    for r in (1e-3, 0.5, 2.0, 7.0, 30.0, 59.0):
+        exact = 2 * math.pi * sf.warp_g(r)
+        assert abs(sf.orbit_circumference(r) - exact) <= 4 * math.ulp(exact), r
     # normal-coordinate normalization g'(0) = 1 via the orbit at tiny radius
     r = 1e-3
     assert abs(sf.orbit_circumference(r) / (2 * math.pi * r) - 1.0) <= 1e-6
