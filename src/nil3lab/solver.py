@@ -38,7 +38,10 @@ Two boundary-value programs sit on top:
 * `exterior_solve` - zero data on the inner circle r = r0, and for each
   truncation radius m of the exhaustion schedule a safeguarded secant search
   on the constant outer value t, capped by the radial barrier, until the inner
-  boundary gradient matches the prescribed s within cfg.bisection_tol.
+  boundary gradient matches the prescribed s within cfg.bisection_tol.  Its
+  data are theta-constant, so each Dirichlet solve starts at the discrete
+  radial solution (`_discrete_radial_rise`), whose residual is roundoff, and
+  takes no Newton step where that roundoff is below newton_tol.
 * `asymptotic_solve` - truncated-disk approximations of angular data at
   infinity; the disk rings are offset half a step from the pole, so no ring
   sits at the coordinate origin, and the innermost cell reaches r = 0, where
@@ -55,14 +58,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .nilcore import ChartPoint, metric_closed_form
-from .radial import (
-    BarrierParams,
-    NoAdmissibleFluxError,
-    QuadratureError,
-    barrier_f,
-    flux_height_difference,
-    radial_mse_solve,
-)
+from .radial import BarrierParams, _secant_root, barrier_f, flux_height_difference
 from .surface import warp_g
 
 logger = logging.getLogger("nil3lab.solver")
@@ -643,23 +639,47 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
     return _block_solve(_linearized(weights, _unit_stencil(grid), grid), rhs), "exact"
 
 
+def _discrete_radial_rise(grid: AnnulusGrid, delta: float) -> np.ndarray:
+    """u - u[0] of the discrete radial solution on an annulus whose ends differ by delta.
+
+    A theta-constant field has zero residual when every radial face carries
+    the same flux g x / sqrt(1 + x^2) = c, that is slope x = c / sqrt(g^2 - c^2).
+    The slopes must add up to delta, and that sum is odd and increasing in c
+    on (-g_0, g_0) and unbounded at its ends, so every finite delta has
+    one c.  It lies in [0, c_hi], c_hi = g_0 |delta| / sqrt(h_0^2 + delta^2),
+    where the innermost face, whose g is least since g grows with r, alone
+    rises by |delta|.  Where that root is finer than the floats below g_0
+    resolve, c_hi is taken.  A delta that has overflowed raises ValueError.
+    """
+    if not math.isfinite(delta):
+        raise ValueError("the boundary data overflow their means")
+    g, h = grid.g_face, grid.h_face
+    target = abs(delta)
+    c_hi = min(g[0] * target / math.hypot(h[0], target), math.nextafter(g[0], 0.0))
+
+    def slopes(c):
+        return c / np.sqrt((g - c) * (g + c))
+
+    def excess(c):
+        return float(h @ slopes(c)) - target
+
+    f_hi = excess(c_hi)
+    c = c_hi if f_hi <= 0.0 else _secant_root(excess, 0.0, c_hi, -target, f_hi)
+    return np.concatenate([[0.0], np.cumsum(math.copysign(1.0, delta) * h * slopes(c))])
+
+
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
-    # radial flux solution between the boundary means, plus the angular
-    # variation blended along the radially harmonic coordinate S = int dr/g;
-    # on graded grids the plain blend starts Newton in a bad basin
+    # the discrete radial solution between the boundary means, exact for
+    # theta-constant data, plus the angular variation blended along the
+    # radially harmonic coordinate S = int dr/g; on graded grids the plain
+    # blend starts Newton in a bad basin
     s_incr = grid.h_face * 0.5 * (1.0 / grid.g[1:] + 1.0 / grid.g[:-1])
     s_coord = np.concatenate([[0.0], np.cumsum(s_incr)])
     w = (s_coord - s_coord[0]) / (s_coord[-1] - s_coord[0])
     if grid.inner == "dirichlet":
         mean_in = float(np.mean(inner_vals))
         mean_out = float(np.mean(outer_vals))
-        try:
-            prof = radial_mse_solve(
-                grid.r[0], grid.r[-1], mean_in, mean_out, nodes=grid.r
-            )
-            base = prof.value[:, None]
-        except (NoAdmissibleFluxError, QuadratureError):
-            base = mean_in + (mean_out - mean_in) * w[:, None]
+        base = mean_in + _discrete_radial_rise(grid, mean_out - mean_in)[:, None]
         return (
             base
             + (inner_vals - mean_in)[None, :] * (1.0 - w[:, None])
@@ -879,7 +899,10 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     inner boundary gradient equals s within cfg.bisection_tol (the tolerance
     on the gradient match).  It starts at the one-dimensional flux prediction
     and keeps t in the bracket [previous t_m, f(m - r0)] capped by the radial
-    barrier; raises BracketError after MAX_OUTER_EVALS solves at one m.
+    barrier; raises BracketError after MAX_OUTER_EVALS solves at one m.  Each
+    solve starts afresh at the discrete radial solution of its data, exact
+    up to roundoff for every t, so it takes no Newton step unless that
+    roundoff exceeds cfg.newton_tol.
     Consecutive fields are compared (`cauchy`) at the nodes of the earlier
     grid in [r0 + 0.2, 0.75 m_1]; a schedule that leaves a compared grid
     without a node there raises ValueError before any solve.
@@ -912,9 +935,9 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             # is the proportional one t s / grad
             lo, hi = prev_t, cap
             t = min(max(_radial_flux_prediction(s, r0, m), lo), hi)
-            t_old, g_old, u = 0.0, 0.0, None
+            t_old, g_old = 0.0, 0.0
             for _ in range(MAX_OUTER_EVALS):
-                u = dirichlet_solve(grid, 0.0, t, cfg, u0=u)
+                u = dirichlet_solve(grid, 0.0, t, cfg)
                 grad = boundary_gradient_sup(u, grid)
                 if abs(grad - s) <= cfg.bisection_tol:
                     break

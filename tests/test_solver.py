@@ -497,6 +497,49 @@ def test_radial_solve_matches_flux_oracle():
     assert np.max(u.max(axis=1) - u.min(axis=1)) <= 10 * cfg.newton_tol
 
 
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n_r", [16, 65, 256])
+@pytest.mark.parametrize("r_in, r_out", [(1.0, 4.0), (2.0, 32.0)])
+def test_default_guess_is_the_discrete_radial_solution(r_in, r_out, n_r, grading):
+    # every face of the theta-constant guess carries one flux c, so its
+    # residual is roundoff.  Only on the inner faces of grading 3 at n_r 256
+    # (1.8e-7 and 1.8e-6 wide) can one ulp of c in the cell of least
+    # g * control exceed newton_tol; there the bound is four such ulps
+    grid = sv.AnnulusGrid.annulus(r_in, r_out, n_r, 8, grading)
+    zeros = np.zeros(8)
+    attain = rd.flux_height_difference(sv.warp_g(r_in), r_in, r_out)
+    for share in (1e-8, 0.01, 0.5, 0.99, 1.0):
+        delta = share * attain
+        u = sv._default_guess(grid, zeros, np.full(8, delta))
+        assert np.all(u[:, :1] == u) and np.all(np.diff(u[:, 0]) > 0)
+        bound = small_cfg().newton_tol
+        if (n_r, grading) == (256, 3.0):
+            x = np.diff(u[:, 0]) / grid.h_face
+            c = np.max(grid.g_face * x / np.sqrt(1.0 + x * x))
+            bound = 4.0 * np.finfo(float).eps * c / np.min((grid.g * grid.control)[1:-1])
+        for sign in (1.0, -1.0):
+            res = sv._solve_residual(sign * u, grid, zeros, np.full(8, sign * delta))
+            assert np.max(np.abs(res)) <= bound, (share, sign)
+        # odd in the height difference, bit for bit
+        assert np.array_equal(sv._default_guess(grid, zeros, np.full(8, -delta)), -u)
+    for value in (0.0, 1.5, -7.25):
+        const = np.full(8, value)
+        assert np.all(sv._default_guess(grid, const, const) == value)
+    # far beyond the continuum's attainable height a discrete flux still
+    # exists, though finer than the floats resolve: the guess stays finite
+    # and monotone
+    u = sv._default_guess(grid, zeros, np.full(8, 1e6))
+    assert np.all(np.isfinite(u)) and np.all(np.diff(u[:, 0]) >= 0)
+
+
+def test_overflowing_boundary_means_are_refused():
+    # finite data whose mean overflows leave no height difference to solve for
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 17, 8)
+    for inner, outer in ((-1e308, 1e308), (1e308, 1e308)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            sv.dirichlet_solve(grid, inner, outer, small_cfg())
+
+
 def test_cosine_solution_symmetries():
     cfg = small_cfg()
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
@@ -541,8 +584,9 @@ def test_singular_linearization_raises_newton_error(monkeypatch):
         return (np.zeros((n1 - 1, m)),) * 2, (np.zeros((n1, m)),) * 2
 
     monkeypatch.setattr(sv, "_flux_weights", zero_weights)
+    # radial data start at the discrete solution and linearize nothing
     with pytest.raises(sv.NewtonError, match="singular linearization"):
-        sv.dirichlet_solve(grid, 0.0, 1.0, small_cfg())
+        sv.dirichlet_solve(grid, 0.0, BoundaryData(lambda th: 1.0 + 0.2 * np.cos(th)), small_cfg())
 
 
 @pytest.mark.parametrize(
@@ -602,7 +646,8 @@ def test_newton_emits_one_log_line_per_step(caplog):
     cfg = small_cfg()
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 64, 16)
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
-        sv.dirichlet_solve(grid, 0.0, 0.5, cfg)
+        # angular data: radial data would converge at the initial guess
+        sv.dirichlet_solve(grid, 0.0, BoundaryData(lambda th: 0.5 + 0.1 * np.cos(th)), cfg)
     records = [r.getMessage() for r in caplog.records if r.name == "nil3lab.solver"]
     steps = [line for line in records if line.startswith("newton iter=")]
     assert len(steps) >= 2
@@ -745,6 +790,21 @@ def test_exterior_small_schedule():
 
 
 @pytest.mark.parametrize(
+    "s, r0, schedule", [(0.5, 1.0, (3.0, 5.0)), (2.0, 1.0, (3.0, 5.0)), (1.0, 2.0, (4.0, 32.0))]
+)
+def test_exterior_field_convergence_order(s, r0, schedule):
+    # the final exterior field against the rotational minimal graph with the
+    # same boundary values; the measured orders are 2.00 +- 0.004
+    errors = []
+    for n in (65, 129, 257):
+        sol = sv.exterior_solve(s, r0, small_cfg(n_r=n, n_theta=8, schedule=schedule))
+        prof = rd.radial_mse_solve(r0, schedule[-1], 0.0, sol.t_trace[-1], nodes=sol.grid.r)
+        errors.append(float(np.max(np.abs(sol.u - prof.value[:, None]))))
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    assert all(o >= 1.8 for o in orders), (errors, orders)
+
+
+@pytest.mark.parametrize(
     "s, r0", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)]
 )
 def test_exterior_rejects_non_finite_input(s, r0):
@@ -794,17 +854,18 @@ def _record_solves(monkeypatch, caplog):
     return solves
 
 
-@pytest.mark.parametrize("s, newton_steps", [
-    pytest.param(0.5, [2, 2], id="0.5"),
-    pytest.param(1.0, [2, 2, 2, 2, 2], id="1.0"),
-    pytest.param(2.0, [2, 3, 2, 2, 2, 2], id="2.0"),
+@pytest.mark.parametrize("s, n_solves", [
+    pytest.param(0.5, 2, id="0.5"),
+    pytest.param(1.0, 5, id="1.0"),
+    pytest.param(2.0, 6, id="2.0"),
 ])
-def test_exterior_outer_search_counters(monkeypatch, caplog, s, newton_steps):
+def test_exterior_outer_search_counters(monkeypatch, caplog, s, n_solves):
     cfg = small_cfg()
     solves = _record_solves(monkeypatch, caplog)
     sol = sv.exterior_solve(s, 1.0, cfg)
-    # the warm-started exterior solves converge in two or three exact Newton steps
-    assert [steps for _, _, steps in solves] == newton_steps
+    # each exterior solve starts at the discrete radial solution of its data
+    # and returns it: no Newton step, linearization or linear solve
+    assert [steps for _, _, steps in solves] == [0] * n_solves
     prev_t = 0.0
     for m, t_m, cap, grad in zip(
         sol.schedule, sol.t_trace, sol.barrier_caps, sol.boundary_gradients
@@ -817,11 +878,17 @@ def test_exterior_outer_search_counters(monkeypatch, caplog, s, newton_steps):
 
 
 def test_exterior_steps_take_one_krylov_iteration(caplog):
-    # warm-started exterior states are radial, so the theta-averaged
-    # preconditioner is the Newton system itself
+    # radial states are where the theta-averaged preconditioner is the Newton
+    # system itself.  The exterior solves take no step, so each of their
+    # problems is solved again from the continuum radial profile, which is
+    # off the discrete solution by the truncation error
     with caplog.at_level(logging.INFO, logger="nil3lab.solver"):
         for s in (0.5, 1.0, 2.0):
-            sv.exterior_solve(s, 1.0, small_cfg())
+            sol = sv.exterior_solve(s, 1.0, small_cfg())
+            for grid, t in zip(sol.grids, sol.t_trace):
+                prof = rd.radial_mse_solve(1.0, grid.r[-1], 0.0, t, nodes=grid.r)
+                u0 = np.tile(prof.value[:, None], (1, grid.shape[1]))
+                sv.dirichlet_solve(grid, 0.0, t, small_cfg(), u0=u0)
     steps = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("newton iter=") and "iter=0 " not in r.getMessage()]
     assert steps
