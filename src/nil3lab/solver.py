@@ -36,12 +36,11 @@ step=none krylov=0.
 Two boundary-value programs sit on top:
 
 * `exterior_solve` - zero data on the inner circle r = r0, and for each
-  truncation radius m of the exhaustion schedule a safeguarded secant search
-  on the constant outer value t, capped by the radial barrier, until the inner
-  boundary gradient matches the prescribed s within cfg.bisection_tol.  Its
-  data are theta-constant, so each Dirichlet solve starts at the discrete
-  radial solution (`_discrete_radial_rise`), whose residual is roundoff, and
-  takes no Newton step where that roundoff is below newton_tol.
+  truncation radius m of the exhaustion schedule the constant outer value
+  whose discrete radial solution has the prescribed inner boundary gradient
+  s: one root-find on the flux of that solution, checked against the radial
+  barrier.  Each Dirichlet solve starts at that solution, whose residual is
+  roundoff, and takes no Newton step where that roundoff is below newton_tol.
 * `asymptotic_solve` - truncated-disk approximations of angular data at
   infinity; the disk rings are offset half a step from the pole, so no ring
   sits at the coordinate origin, and the innermost cell reaches r = 0, where
@@ -58,13 +57,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .nilcore import ChartPoint, metric_closed_form
-from .radial import BarrierParams, _secant_root, barrier_f, flux_height_difference
+from .radial import BarrierParams, _secant_root, barrier_f
 from .surface import warp_g
 
 logger = logging.getLogger("nil3lab.solver")
 
-# Dirichlet solves the exterior outer-value search spends on one m at most
-MAX_OUTER_EVALS = 30
 # GMRES iterations a Newton step may take before exact block elimination takes
 # over, and the smallest factor by which they are asked to cut the
 # preconditioned residual (the floor of the forcing term in `dirichlet_solve`)
@@ -193,10 +190,11 @@ class AnnulusGrid:
 
 @dataclass
 class SolverConfig:
-    """Newton and outer-search tolerances, grid sizes, and the exhaustion schedule.
+    """Newton tolerances, grid sizes, and the exhaustion schedule.
 
-    r_core is accepted for old configuration files and is unused: the disk
-    grids reach the pole (see `AnnulusGrid.disk`).
+    bisection_tol, a name kept for old configuration files, bounds |grad - s|
+    of each solved exterior field; no search uses it.  r_core is accepted for
+    old files and is unused: the disk grids reach the pole (`AnnulusGrid.disk`).
     """
 
     newton_tol: float = 1e-10
@@ -639,6 +637,11 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
     return _block_solve(_linearized(weights, _unit_stencil(grid), grid), rhs), "exact"
 
 
+def _radial_slopes(grid: AnnulusGrid, c: float) -> np.ndarray:
+    """Face slopes x = c / sqrt(g^2 - c^2) of the discrete radial solution of flux c."""
+    return c / np.sqrt((grid.g_face - c) * (grid.g_face + c))
+
+
 def _discrete_radial_rise(grid: AnnulusGrid, delta: float) -> np.ndarray:
     """u - u[0] of the discrete radial solution on an annulus whose ends differ by delta.
 
@@ -657,15 +660,13 @@ def _discrete_radial_rise(grid: AnnulusGrid, delta: float) -> np.ndarray:
     target = abs(delta)
     c_hi = min(g[0] * target / math.hypot(h[0], target), math.nextafter(g[0], 0.0))
 
-    def slopes(c):
-        return c / np.sqrt((g - c) * (g + c))
-
     def excess(c):
-        return float(h @ slopes(c)) - target
+        return float(h @ _radial_slopes(grid, c)) - target
 
     f_hi = excess(c_hi)
     c = c_hi if f_hi <= 0.0 else _secant_root(excess, 0.0, c_hi, -target, f_hi)
-    return np.concatenate([[0.0], np.cumsum(math.copysign(1.0, delta) * h * slopes(c))])
+    rise = math.copysign(1.0, delta) * h * _radial_slopes(grid, c)
+    return np.concatenate([[0.0], np.cumsum(rise)])
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -810,6 +811,14 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
     )
 
 
+def _inner_difference(grid: AnnulusGrid) -> tuple[float, float, float]:
+    """Weights of the one-sided three-point difference u_r(r_0) ~ a0 u_0 + a1 u_1 + a2 u_2."""
+    h1, h2 = grid.r[1:3] - grid.r[0]
+    a1 = h2 / (h1 * (h2 - h1))
+    a2 = -h1 / (h2 * (h2 - h1))
+    return -(a1 + a2), a1, a2
+
+
 def boundary_gradient_sup(u: np.ndarray, grid: AnnulusGrid) -> float:
     """Sup over the inner boundary row of the intrinsic gradient norm.
 
@@ -818,12 +827,7 @@ def boundary_gradient_sup(u: np.ndarray, grid: AnnulusGrid) -> float:
     sqrt(u_r^2 + u_theta^2 / g^2).
     """
     u = np.asarray(u, dtype=float)
-    r = grid.r
-    h1 = r[1] - r[0]
-    h2 = r[2] - r[0]
-    a1 = h2 / (h1 * (h2 - h1))
-    a2 = -h1 / (h2 * (h2 - h1))
-    a0 = -(a1 + a2)
+    a0, a1, a2 = _inner_difference(grid)
     ur0 = a0 * u[0] + a1 * u[1] + a2 * u[2]
     ut0 = (np.roll(u[0], -1) - np.roll(u[0], 1)) / (2.0 * grid.dtheta)
     return float(np.max(np.sqrt(ur0**2 + (ut0 / grid.g[0]) ** 2)))
@@ -883,26 +887,36 @@ def _consecutive_sup_diffs(grids, fields, masks) -> list:
     return diffs
 
 
-def _radial_flux_prediction(s: float, r0: float, m: float) -> float:
-    """Continuum prediction of the outer value: flux fixed by the inner gradient."""
-    if s == 0:
-        return 0.0
-    c = s * warp_g(r0) / math.sqrt(1.0 + s * s)
-    return flux_height_difference(c, r0, m)
+def _gradient_flux(grid: AnnulusGrid, s: float) -> float:
+    """Flux c of the discrete radial solution from u_0 = 0 whose inner gradient is s > 0.
+
+    That gradient, a1 u_1 + a2 u_2 in `boundary_gradient_sup`, is
+    G(c) = A x_0 - B x_1 with A - B = 1 and x_0 >= x_1 (g grows with r), so G
+    increases on [0, g_0) and G >= x_0, which is s at c_hi = g_0 s / sqrt(1 + s^2).
+    A root finer than the floats below g_0 resolve is taken as c_hi.
+    """
+    _, a1, a2 = _inner_difference(grid)
+    h, g0 = grid.h_face[:2], grid.g_face[0]
+    c_hi = min(g0 * s / math.hypot(1.0, s), math.nextafter(g0, 0.0))
+
+    def mismatch(c):
+        u1, u2 = np.cumsum(h * _radial_slopes(grid, c)[:2])
+        return a1 * u1 + a2 * u2 - s
+
+    f_hi = mismatch(c_hi)
+    return c_hi if f_hi <= 0.0 else _secant_root(mismatch, 0.0, c_hi, -s, f_hi)
 
 
 def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
     """Exterior Dirichlet exhaustion with boundary-gradient matching.
 
-    For each truncation radius m: zero inner data on r = r0, constant outer
-    value t on r = m, and a safeguarded secant search on t until the discrete
-    inner boundary gradient equals s within cfg.bisection_tol (the tolerance
-    on the gradient match).  It starts at the one-dimensional flux prediction
-    and keeps t in the bracket [previous t_m, f(m - r0)] capped by the radial
-    barrier; raises BracketError after MAX_OUTER_EVALS solves at one m.  Each
-    solve starts afresh at the discrete radial solution of its data, exact
-    up to roundoff for every t, so it takes no Newton step unless that
-    roundoff exceeds cfg.newton_tol.
+    For each truncation radius m: zero inner data on r = r0 and the constant
+    outer value t_m on r = m of the discrete radial solution whose inner
+    boundary gradient is s (`_gradient_flux`).  A t_m outside [previous t_m,
+    f(m - r0)], f the radial barrier, raises BracketError.  One Dirichlet
+    solve started at that solution returns it, with no Newton step unless its
+    roundoff residual exceeds cfg.newton_tol; a returned gradient off s by
+    more than cfg.bisection_tol raises SolverError.
     Consecutive fields are compared (`cauchy`) at the nodes of the earlier
     grid in [r0 + 0.2, 0.75 m_1]; a schedule that leaves a compared grid
     without a node there raises ValueError before any solve.
@@ -930,33 +944,17 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             u = np.zeros(grid.shape)
             t_m, grad = 0.0, 0.0
         else:
-            # secant on t -> grad(t) - s, which increases with t; the zero
-            # solution gives the first secant point (0, 0), so the first step
-            # is the proportional one t s / grad
-            lo, hi = prev_t, cap
-            t = min(max(_radial_flux_prediction(s, r0, m), lo), hi)
-            t_old, g_old = 0.0, 0.0
-            for _ in range(MAX_OUTER_EVALS):
-                u = dirichlet_solve(grid, 0.0, t, cfg)
-                grad = boundary_gradient_sup(u, grid)
-                if abs(grad - s) <= cfg.bisection_tol:
-                    break
-                if grad < s:
-                    lo = t
-                else:
-                    hi = t
-                dt, dg = t - t_old, grad - g_old
-                t_next = t - (grad - s) * dt / dg if dt * dg > 0 else math.nan
-                t_old, g_old = t, grad
-                # a proposal outside the open bracket falls back to its
-                # midpoint, so no t above the barrier cap is ever solved
-                t = t_next if lo < t_next < hi else 0.5 * (lo + hi)
-            else:
-                raise BracketError(
-                    f"no outer value in [{lo:.8g}, {hi:.8g}] matched the boundary "
-                    f"gradient s={s} at m={m} in {MAX_OUTER_EVALS} solves"
-                )
-            t_m = t
+            slopes = _radial_slopes(grid, _gradient_flux(grid, s))
+            rise = np.concatenate([[0.0], np.cumsum(grid.h_face * slopes)])
+            t_m = float(rise[-1])
+            if not prev_t <= t_m <= cap:
+                raise BracketError(f"outer value {t_m:.8g} for s={s} at m={m} leaves "
+                                   f"[{prev_t:.8g}, {cap:.8g}] (previous t_m, barrier cap)")
+            u = dirichlet_solve(grid, 0.0, t_m, cfg, u0=np.broadcast_to(rise[:, None], grid.shape))
+            grad = boundary_gradient_sup(u, grid)
+            if abs(grad - s) > cfg.bisection_tol:
+                raise SolverError(f"boundary gradient {grad:.10g} at m={m} misses s={s} "
+                                  f"by more than bisection_tol={cfg.bisection_tol:g}")
 
         logger.info("exterior m=%g: t_m=%.8g cap=%.8g gradient=%.6g", m, t_m, cap, grad)
         t_trace.append(t_m)

@@ -854,27 +854,31 @@ def _record_solves(monkeypatch, caplog):
     return solves
 
 
-@pytest.mark.parametrize("s, n_solves", [
-    pytest.param(0.5, 2, id="0.5"),
-    pytest.param(1.0, 5, id="1.0"),
-    pytest.param(2.0, 6, id="2.0"),
-])
-def test_exterior_outer_search_counters(monkeypatch, caplog, s, n_solves):
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_exterior_outer_search_counters(monkeypatch, caplog, s):
     cfg = small_cfg()
     solves = _record_solves(monkeypatch, caplog)
     sol = sv.exterior_solve(s, 1.0, cfg)
-    # each exterior solve starts at the discrete radial solution of its data
-    # and returns it: no Newton step, linearization or linear solve
-    assert [steps for _, _, steps in solves] == [0] * n_solves
-    prev_t = 0.0
-    for m, t_m, cap, grad in zip(
-        sol.schedule, sol.t_trace, sol.barrier_caps, sol.boundary_gradients
-    ):
-        outer = [t for mm, t, _ in solves if mm == m]
-        assert 1 <= len(outer) <= 3
-        assert all(prev_t <= t <= cap for t in outer)
-        assert abs(grad - s) <= cfg.bisection_tol
-        prev_t = t_m
+    # one Dirichlet solve per m, at the closed-form outer value; it starts at
+    # the discrete radial solution of its data and returns it: no Newton step,
+    # linearization or linear solve
+    assert solves == [(m, t_m, 0) for m, t_m in zip(sol.schedule, sol.t_trace)]
+    assert 0.0 <= sol.t_trace[0] <= sol.t_trace[1]
+    assert all(t_m <= cap for t_m, cap in zip(sol.t_trace, sol.barrier_caps))
+    assert all(abs(grad - s) <= cfg.bisection_tol for grad in sol.boundary_gradients)
+
+
+@pytest.mark.parametrize("n_r", [17, 64])
+@pytest.mark.parametrize("grading", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 20.0])
+def test_exterior_gradient_matches_s_to_roundoff(s, grading, n_r):
+    # the outer value comes from the flux whose discrete inner gradient is s,
+    # so the gradient of the returned field misses s only by roundoff
+    cfg = small_cfg(n_r=n_r, n_theta=8, grading=grading)
+    sol = sv.exterior_solve(s, 1.0, cfg)
+    assert all(abs(grad - s) <= 1e-10 for grad in sol.boundary_gradients), sol.boundary_gradients
+    assert np.all(np.diff(sol.t_trace) >= 0)
+    assert all(t_m <= cap for t_m, cap in zip(sol.t_trace, sol.barrier_caps))
 
 
 def test_exterior_steps_take_one_krylov_iteration(caplog):
@@ -895,17 +899,32 @@ def test_exterior_steps_take_one_krylov_iteration(caplog):
     assert all(line.endswith(" krylov=1") for line in steps), steps
 
 
-def test_exterior_gives_up_below_the_cap(monkeypatch, caplog):
-    cfg = small_cfg(schedule=(3.0,))
+def test_exterior_refuses_an_outer_value_above_the_cap(monkeypatch, caplog):
+    # the barrier caps the closed-form outer value as a check: a cap one ulp
+    # below t_m at m = 5 raises BracketError before that m's Dirichlet solve
+    cfg = small_cfg()
+    t_trace = sv.exterior_solve(0.5, 1.0, cfg).t_trace
+    cap = math.nextafter(t_trace[1], 0.0)
     solves = _record_solves(monkeypatch, caplog)
-    # a gradient that grows with t but stays below s = 0.5 up to the cap
-    # (about 1.08): every secant step overshoots the cap
-    monkeypatch.setattr(sv, "boundary_gradient_sup", lambda u, grid: 0.1 * u[-1, 0])
-    with pytest.raises(sv.BracketError):
+    monkeypatch.setattr(sv, "barrier_f", lambda params, r: (cap, 0.0))
+    with pytest.raises(sv.BracketError, match="barrier cap"):
         sv.exterior_solve(0.5, 1.0, cfg)
-    cap = rd.barrier_f(rd.BarrierParams(0.5, 1.0), 2.0)[0]
-    assert len(solves) == sv.MAX_OUTER_EVALS
-    assert all(0 < t <= cap for _, t, _ in solves)
+    assert solves == [(3.0, t_trace[0], 0)]
+
+
+def test_exterior_checks_the_gradient_of_the_solved_field(monkeypatch):
+    # a field whose inner gradient misses s by more than bisection_tol raises
+    # SolverError, which the CLI maps to exit 1
+    from nil3lab.cli import main
+
+    grad = sv.boundary_gradient_sup
+    monkeypatch.setattr(sv, "boundary_gradient_sup", lambda u, grid: grad(u, grid) + 1e-3)
+    with pytest.raises(sv.SolverError, match="bisection_tol") as info:
+        sv.exterior_solve(0.5, 1.0, small_cfg())
+    assert type(info.value) is sv.SolverError
+    argv = ["exterior", "--s", "0.5", "--r0", "1", "--n-r", "64", "--n-theta", "16",
+            "--schedule", "3,5"]
+    assert main(argv) == 1
 
 
 def test_exterior_outer_rim_gradient_capped_by_barrier_slope():
