@@ -43,8 +43,7 @@ def surface_mesh(sample) -> tuple[np.ndarray, np.ndarray]:
     n_u, n_v = len(ugrid), len(vgrid)
     if sample.periodic_v and n_v < 3:
         raise MeshValidationError(f"a periodic v-direction needs at least 3 samples, got {n_v}")
-    verts = np.array([sample.chart_map(uu, vv) for uu in ugrid for vv in vgrid],
-                     dtype=float).reshape(n_u * n_v, 3)
+    verts = sample.points(ugrid[:, None], vgrid[None, :]).reshape(n_u * n_v, 3)
     verts[:, 2] += verts[:, 0] * verts[:, 1] / 2.0
 
     v_pairs = n_v if sample.periodic_v else n_v - 1
@@ -80,8 +79,8 @@ def check_mesh(vertices: np.ndarray, faces: np.ndarray) -> None:
 
 
 def _rows(template: str, table: np.ndarray) -> str:
-    """The template filled in from each table row in turn, one line per row."""
-    return ((template + "\n") * len(table)).format(*table.ravel().tolist())
+    """The printf-style template filled in from each table row in turn, one line per row."""
+    return ((template + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
 def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
@@ -102,14 +101,14 @@ def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
             raise ValueError("per-vertex scalar length does not match the mesh")
         table = np.column_stack([verts] + [scalar] * (3 if fmt == "obj" else 1))
     if fmt == "obj":
-        header, vert_row, face_row, faces = [f"# {_HEADER}"], "v ", "f {} {} {}", faces + 1
+        header, vert_row, face_row, faces = [f"# {_HEADER}"], "v ", "f %d %d %d", faces + 1
     else:
         props = ["x", "y", "z"] + (["quality"] if scalar is not None else [])
         header = ["ply", "format ascii 1.0", f"comment {_HEADER}", f"element vertex {len(verts)}"]
         header += [f"property double {name}" for name in props]
         header += [f"element face {len(faces)}", "property list uchar int vertex_indices", "end_header"]
-        vert_row, face_row = "", "3 {} {} {}"
-    vert_row += " ".join(["{:.17g}"] * table.shape[1])
+        vert_row, face_row = "", "3 %d %d %d"
+    vert_row += " ".join(["%.17g"] * table.shape[1])
     with open(path, "w") as fh:
         fh.write("\n".join(header) + "\n" + _rows(vert_row, table) + _rows(face_row, faces))
 
@@ -126,7 +125,7 @@ def export_csv(data, path) -> None:
         raise ValueError("CSV columns must share a length")
     table = np.column_stack(list(columns.values()))
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n" + _rows(",".join(["{:.17g}"] * len(columns)), table))
+        fh.write(",".join(columns) + "\n" + _rows(",".join(["%.17g"] * len(columns)), table))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

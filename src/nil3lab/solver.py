@@ -877,12 +877,20 @@ def _compared_nodes(grids, r_lo, r_hi, name) -> list:
 def _consecutive_sup_diffs(grids, fields, masks) -> list:
     """Sup of |u_k - u_{k+1}| at the `_compared_nodes` masks of each field and the next.
 
-    The next field is interpolated in r along every angle.
+    The next field is interpolated linearly in r along every angle at once,
+    with np.interp's arithmetic: the value at a node itself, else
+    slope (x - x_j) + f_j on the interval [x_j, x_{j+1}) holding x, and the
+    end values outside the nodes.
     """
     diffs = []
     for grid_a, u_a, grid_b, u_b, mask in zip(grids, fields, grids[1:], fields[1:], masks):
-        radii = grid_a.r[mask]
-        interp = np.stack([np.interp(radii, grid_b.r, col) for col in u_b.T], axis=1)
+        nodes = grid_b.r
+        x = np.clip(grid_a.r[mask], nodes[0], nodes[-1])
+        j = np.searchsorted(nodes, x, side="right") - 1
+        k = np.minimum(j, len(nodes) - 2)
+        left = nodes[k]
+        slope = (u_b[k + 1] - u_b[k]) / (nodes[k + 1] - left)[:, None]
+        interp = np.where((nodes[j] == x)[:, None], u_b[j], slope * (x - left)[:, None] + u_b[k])
         diffs.append(float(np.max(np.abs(u_a[mask] - interp))))
     return diffs
 

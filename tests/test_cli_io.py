@@ -132,6 +132,20 @@ def test_export_writes_the_exact_obj_and_ply_text(tmp_path):
     assert (tmp_path / "s.ply").read_bytes() == _SLICE_PLY.encode()
 
 
+def test_catenoid_obj_has_the_format_template_bytes_and_reads_back_exactly(tmp_path):
+    # the benchmark's 60 x 64 catenoid, against the "{:.17g}" / "{}" template
+    sample = vf.catenoid_sample(rd.CatenoidParams(3.0, 1.0), 6.0, n_t=60, n_theta=64, tol=1e-10)
+    meshio.export_mesh(sample, tmp_path / "c.obj", fmt="obj")
+    verts, faces = meshio.surface_mesh(sample)
+    lines = ["# nil3lab surface mesh, matrix coordinates (x, y, z entries)"]
+    lines += ["v {:.17g} {:.17g} {:.17g}".format(*row) for row in verts.tolist()]
+    lines += ["f {} {} {}".format(*row) for row in (faces + 1).tolist()]
+    text = (tmp_path / "c.obj").read_text()
+    assert text.encode() == ("\n".join(lines) + "\n").encode()
+    back = [[float(x) for x in line.split()[1:]] for line in text.splitlines() if line[0] == "v"]
+    assert np.array_equal(np.array(back), verts)
+
+
 def test_export_rejects_an_unknown_format_before_triangulating(tmp_path):
     calls = []
     sample = vf.SurfaceSample(lambda uu, vv: calls.append(1) or (uu, vv, 0.0),
@@ -190,11 +204,8 @@ def test_graph_mesh_with_residual_channel(tmp_path):
     sample = vf.graph_embed(sol.u, sol.grid)
     pad = 3 * sample.fd_step
     r_lo, r_hi = sol.grid.r[0] + pad, sol.grid.r[-1] - pad
-    scalar = np.empty(sol.grid.shape)
-    for i, r in enumerate(sol.grid.r):
-        rr = min(max(r, r_lo), r_hi)
-        for j, th in enumerate(sol.grid.theta):
-            scalar[i, j] = abs(vf.mean_curvature_residual(sample, (rr, th)))
+    rr, th = np.meshgrid(np.clip(sol.grid.r, r_lo, r_hi), sol.grid.theta, indexing="ij")
+    scalar = np.abs(vf.mean_curvature_residual(sample, np.stack([rr, th], axis=-1)))
     assert np.all(np.isfinite(scalar))
     path = tmp_path / "graph.ply"
     meshio.export_mesh(sample, path, fmt="ply", scalar=scalar)

@@ -1004,13 +1004,13 @@ def test_asymptotic_cosine_field_is_minimal_in_3d():
     # no code with the solver: small, and shrinking as the angular grid refines
     from nil3lab import verify as vf
 
-    points = [(r, phi) for r in np.linspace(0.5, 4.0, 8) for phi in (0.3, 1.9, 4.0)]
+    points = np.array([(r, phi) for r in np.linspace(0.5, 4.0, 8) for phi in (0.3, 1.9, 4.0)])
     sup_h = []
     for n_theta in (16, 32):
         cfg = small_cfg(n_r=96, n_theta=n_theta, compact_rmax=3.0)
         sol = sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(6.0, 10.0, 14.0))
         sample = vf.graph_embed(sol.u, sol.grids[-1])
-        sup_h.append(max(abs(vf.mean_curvature_residual(sample, p)) for p in points))
+        sup_h.append(np.max(np.abs(vf.mean_curvature_residual(sample, points))))
     assert max(sup_h) <= 5e-3, sup_h
     assert sup_h[0] >= 3.0 * sup_h[1], sup_h
 
@@ -1043,6 +1043,53 @@ def test_sup_diffs_of_one_field_on_two_coarse_disks_vanish():
     fields = [grid.r[:, None] * np.cos(grid.theta) for grid in grids]
     masks = sv._compared_nodes(grids, 0.0, 4.0, "compact window")
     assert sv._consecutive_sup_diffs(grids, fields, masks)[0] <= 1e-14
+
+
+def _interp_loop_sup_diffs(grids, fields, masks):
+    """The consecutive sup differences by one np.interp call per angle."""
+    diffs = []
+    for grid_a, u_a, grid_b, u_b, mask in zip(grids, fields, grids[1:], fields[1:], masks):
+        radii = grid_a.r[mask]
+        interp = np.stack([np.interp(radii, grid_b.r, col) for col in u_b.T], axis=1)
+        diffs.append(float(np.max(np.abs(u_a[mask] - interp))))
+    return diffs
+
+
+def test_sup_diffs_equal_the_interp_loop_on_solves():
+    cfg = small_cfg(n_r=48, n_theta=16, schedule=(3.0, 5.0, 8.0))
+    ext = sv.exterior_solve(0.5, 1.0, cfg)
+    masks = sv._compared_nodes(ext.grids, 1.2, 0.75 * 3.0, "Cauchy window")
+    assert ext.cauchy == _interp_loop_sup_diffs(ext.grids, ext.fields, masks)
+    cfg = small_cfg(n_r=33, n_theta=16, compact_rmax=3.0)
+    asy = sv.asymptotic_solve(BoundaryData.cosine(1.0, phase=0.3), cfg, radii=(6.0, 10.0, 14.0))
+    masks = sv._compared_nodes(asy.grids, 0.0, 3.0, "compact window")
+    assert asy.sup_diffs == _interp_loop_sup_diffs(asy.grids, asy.fields, masks)
+
+
+def test_sup_diffs_equal_the_interp_loop_at_nodes_and_past_the_last_ring():
+    # radii in quarter steps, so the coarse radii 1, 1.5, ..., 4 are nodes of
+    # the fine grid exactly, 4 its last ring; 4.5 and 5 lie past that ring
+    theta = np.arange(16) * (2.0 * math.pi / 16)
+    coarse = sv.AnnulusGrid(np.arange(2.0, 11.0) / 2.0, theta)
+    fine = sv.AnnulusGrid(np.arange(4.0, 17.0) / 4.0, theta)
+    odd = sv.AnnulusGrid(1.0 + 3.0 * np.linspace(0.0, 1.0, 7) ** 1.7, theta)
+    rng = np.random.default_rng(11)
+    for grids in ([coarse, fine], [coarse, odd], [fine, fine], [odd, coarse]):
+        # magnitudes over 16 decades, so that rounding in the slope shows
+        fields = [rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-8, 8, g.shape)
+                  for g in grids]
+        masks = sv._compared_nodes(grids, 0.0, 10.0, "window")
+        assert sv._consecutive_sup_diffs(grids, fields, masks) == _interp_loop_sup_diffs(
+            grids, fields, masks)
+        # one radius and one angle at a time against zero: each sup is one
+        # interpolated value, so a last bit off anywhere shows
+        for c in range(len(theta)):
+            column = [np.zeros(grids[0].shape), np.zeros(grids[1].shape)]
+            column[1][:, c] = fields[1][:, c]
+            for i in np.flatnonzero(masks[0]):
+                one = [np.arange(len(grids[0].r)) == i]
+                assert (sv._consecutive_sup_diffs(grids, column, one)
+                        == _interp_loop_sup_diffs(grids, column, one))
 
 
 @pytest.mark.parametrize("radii", [(8.0, math.inf), (8.0, math.nan), (-1.0, 8.0)])

@@ -280,6 +280,18 @@ def test_curvature_oracles_agree():
         assert abs(sf.gaussian_curvature_riemann(p) - sf.curvature_from_warp(r)) <= 1e-5
 
 
+def test_curvature_riemann_broadcasts_over_points():
+    # one call over an array of points gives each point's own value bit for bit
+    r, phi = np.meshgrid([0.1, 0.5, 1.0, 2.0, 5.0, 10.0], [0.4, 0.7, 2.9], indexing="ij")
+    points = sf.SurfacePoint(r / SQRT2 * np.cos(phi), r / SQRT2 * np.sin(phi))
+    batched = sf.gaussian_curvature_riemann(points)
+    assert batched.shape == (6, 3)
+    single = [[sf.gaussian_curvature_riemann(sf.SurfacePoint(x, y)) for x, y in zip(xs, ys)]
+              for xs, ys in zip(points.x, points.y)]
+    assert np.array_equal(batched, single)
+    assert type(sf.gaussian_curvature_riemann(sf.SurfacePoint(0.3, 0.2))) is float
+
+
 def test_curvature_rotational_invariance():
     vals = []
     for phi in np.linspace(0, 2 * math.pi, 8, endpoint=False):

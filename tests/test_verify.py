@@ -40,11 +40,29 @@ def test_cylinder_negative_control():
 def test_catenoid_residual():
     params = rd.CatenoidParams(3.0, 1.0)
     sample = vf.catenoid_sample(params, 10.0, fd_step=2e-4)
-    worst = 0.0
-    for t in np.linspace(params.t0 + 0.1, 10.0, 10):
-        for phi in (0.3, 2.1):
-            worst = max(worst, abs(vf.mean_curvature_residual(sample, (t, phi))))
+    t, phi = np.meshgrid(np.linspace(params.t0 + 0.1, 10.0, 10), (0.3, 2.1), indexing="ij")
+    worst = np.max(np.abs(vf.mean_curvature_residual(sample, np.stack([t, phi], axis=-1))))
     assert worst <= 1e-5
+
+
+def test_catenoid_below_the_neck_raises():
+    params = rd.CatenoidParams(3.0, 1.0)
+    sample = vf.catenoid_sample(params, 6.0)
+    with pytest.raises(ValueError, match="below the neck"):
+        sample.chart_map(params.t0 - 1e-3, 0.0)
+    # one stencil across the neck among points well above it
+    at = np.array([[3.0, 0.2], [params.t0 + 1e-4, 0.2]])
+    with pytest.raises(ValueError, match="below the neck"):
+        vf.mean_curvature_residual(sample, at)
+
+
+def test_catenoid_heights_do_not_depend_on_the_batch():
+    params = rd.CatenoidParams(3.0, 1.0)
+    t = np.array([1.3, 2.05, 4.7])
+    alone = [vf.catenoid_sample(params, 6.0).chart_map(x, 0.0)[2] for x in t.tolist()]
+    together = vf.catenoid_sample(params, 6.0).chart_map(t, 0.0)[2]
+    assert np.array_equal(together, alone)
+    assert together.tolist() == [rd.catenoid_height(params, x, 1e-13) for x in t.tolist()]
 
 
 def test_catenoid_third_coordinate_readings():
@@ -78,6 +96,54 @@ def test_degenerate_immersion_raises():
         vf.mean_curvature_residual(flat, (0.5, 0.5))
 
 
+def _exterior_graph():
+    cfg = sv.SolverConfig(n_r=24, n_theta=12, newton_tol=1e-10, schedule=(3.0,),
+                          bisection_tol=1e-3)
+    sol = sv.exterior_solve(0.4, 1.0, cfg)
+    return vf.graph_embed(sol.u, sol.grid)
+
+
+@pytest.mark.parametrize("name", ["catenoid", "slice", "exterior graph"])
+def test_batched_oracle_matches_per_point_calls(name):
+    rng = np.random.default_rng(5)
+    if name == "catenoid":
+        # a fresh sample for the per-point calls, so no height is shared
+        make = lambda: vf.catenoid_sample(rd.CatenoidParams(3.0, 1.0), 6.0)  # noqa: E731
+        at = np.stack([rng.uniform(1.1, 6.0, (4, 5)), rng.uniform(0.0, 2 * math.pi, (4, 5))], -1)
+    elif name == "slice":
+        make = vf.slice_sample
+        at = rng.uniform(-2.5, 2.5, (4, 5, 2))
+    else:
+        graph = _exterior_graph()
+        make = lambda: graph  # noqa: E731
+        at = np.stack([rng.uniform(1.1, 2.9, (4, 5)), rng.uniform(0.0, 2 * math.pi, (4, 5))], -1)
+    batched = vf.mean_curvature_residual(make(), at)
+    assert batched.shape == (4, 5)
+    sample = make()
+    single = np.array([[vf.mean_curvature_residual(sample, p) for p in row] for row in at])
+    assert np.all(np.abs(batched - single) <= 1e-15 * np.abs(single)), (batched, single)
+
+
+def test_one_point_gives_a_float_and_serves_a_scalar_chart_map():
+    assert type(vf.mean_curvature_residual(vf.slice_sample(), (0.3, -0.2))) is float
+    assert type(vf.mean_curvature_residual(vf.slice_sample(), np.array([0.3, -0.2]))) is float
+    # math.cos takes no array: the chart map sees floats for one point
+    cyl = vf.SurfaceSample(lambda u, v: (SQRT2 * math.cos(u), SQRT2 * math.sin(u), v),
+                           np.linspace(0, 2 * math.pi, 10), np.linspace(0, 1, 5))
+    assert type(vf.mean_curvature_residual(cyl, (0.7, 0.3))) is float
+
+
+def test_one_degenerate_point_among_many_raises():
+    # the v-tangent (0, u - 1/2, 0) vanishes on the line u = 1/2 only
+    sample = vf.SurfaceSample(lambda u, v: (u, v * (u - 0.5), 0.0 * u),
+                              np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+    u, v = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.2, 0.8, 4), indexing="ij")
+    at = np.stack([u, v], axis=-1)
+    assert np.all(np.abs(vf.mean_curvature_residual(sample, at[[0, 1, 3, 4]])) <= 1e-9)
+    with pytest.raises(vf.DegenerateImmersionError):
+        vf.mean_curvature_residual(sample, at)
+
+
 def test_graph_embed_flat_fields():
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 48, 16)
     zero = vf.graph_embed(np.zeros(grid.shape), grid)
@@ -98,10 +164,8 @@ def test_graph_embed_radial_flux_profile():
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 96, 32, grading=1.0)
     prof = rd.radial_mse_solve(1.0, 4.0, 0.0, 1.0, nodes=grid.r)
     sample = vf.graph_embed(np.tile(prof.value[:, None], (1, 32)), grid)
-    worst = 0.0
-    for t in np.linspace(1.4, 3.6, 8):
-        for phi in (0.5, 2.7):
-            worst = max(worst, abs(vf.mean_curvature_residual(sample, (t, phi))))
+    t, phi = np.meshgrid(np.linspace(1.4, 3.6, 8), (0.5, 2.7), indexing="ij")
+    worst = np.max(np.abs(vf.mean_curvature_residual(sample, np.stack([t, phi], axis=-1))))
     assert worst <= 1e-4
 
 
