@@ -7,11 +7,14 @@ on staggered faces, so constant fields have exactly zero residual and the
 discrete solution inherits a maximum principle on the tested data.
 
 Each face flux is x / sqrt(1 + x^2 + y^2) in two slopes that are fixed
-differences of u (`_face_slopes`).  Nonlinear solves use inexact Newton
-damped by Armijo-style halving.  Each step linearizes at its iterate: the
-chain rule gives face weights (`_flux_weights`), which one map
-(`_linearized`) turns into Jacobian-vector products or, on the unit
-stencil, the 9-point stencil.  The rotational symmetry makes the
+differences of u (`_face_slopes`), each scaled by one metric column that the
+grid holds (`AnnulusGrid`).  Nonlinear solves use inexact Newton damped by
+Armijo-style halving.  Each step linearizes at its iterate: the chain rule
+gives face weights (`_flux_weights`) from the slopes and W that the
+iterate's residual evaluation kept (`_faces`), so a Newton step evaluates
+no slopes of its iterate again; one map (`_linearized`) turns the weights
+into Jacobian-vector products or, on the unit stencil, the 9-point
+stencil.  The rotational symmetry makes the
 linearization circulant in theta up to its theta-variation, so GMRES on
 those products is preconditioned by the stencil of the theta-averaged
 weights: one tridiagonal system in r per Fourier mode, exact for
@@ -38,14 +41,18 @@ Two boundary-value programs sit on top:
 * `exterior_solve` - zero data on the inner circle r = r0, and for each
   truncation radius m of the exhaustion schedule the constant outer value
   whose discrete radial solution has the prescribed inner boundary gradient
-  s: one root-find on the flux of that solution, checked against the radial
-  barrier.  Each Dirichlet solve starts at that solution, whose residual is
-  roundoff, and takes no Newton step where that roundoff is below newton_tol.
+  s: one root-find on the innermost slope of that solution, checked against
+  the radial barrier.  Each Dirichlet solve starts at that solution, whose
+  residual is roundoff, and takes no Newton step where that roundoff is below
+  newton_tol.
 * `asymptotic_solve` - truncated-disk approximations of angular data at
   infinity; the disk rings are offset half a step from the pole, so no ring
   sits at the coordinate origin, and the innermost cell reaches r = 0, where
   g(0) = 0 makes the radial flux vanish exactly (the pole treatment of
-  Mohseni and Colonius, J. Comput. Phys. 157 (2000) 787-795).
+  Mohseni and Colonius, J. Comput. Phys. 157 (2000) 787-795).  Each disk
+  solve starts at the harmonic extension of its data in the conformal
+  radius (`_default_guess`), which solves the equation up to the cube of
+  the data's angular amplitude.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ import numpy as np
 
 from .nilcore import ChartPoint, metric_closed_form
 from .radial import BarrierParams, _secant_root, barrier_f
-from .surface import warp_g
+from .surface import conformal_radius, warp_g
 
 logger = logging.getLogger("nil3lab.solver")
 
@@ -150,6 +157,13 @@ class AnnulusGrid:
         ctrl[0] = self.r_face[0] if self.inner == "pole" else 0.5 * self.h_face[0]
         ctrl[-1] = 0.5 * self.h_face[-1]
         self.control = ctrl
+        # the metric factors of `_face_slopes` and `_divergence` as (rows, 1)
+        # columns, so each difference of u is scaled by one multiplication
+        self.inv_h = 1.0 / self.h_face[:, None]
+        self.inv_4dt_gface = 1.0 / (4.0 * dt * self.g_face[:, None])
+        self.inv_span = 1.0 / (self.r[2:] - self.r[:-2])[:, None]
+        self.inv_dt_g = 1.0 / (dt * self.g[:, None])
+        self.inv_control_g = 1.0 / (ctrl * self.g)[:, None]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -289,22 +303,27 @@ def _face_slopes(u: np.ndarray, grid: AnnulusGrid):
     Radial faces (rows i, i+1; stored at row i, n_r - 1 rows): x = u_r and
     y = mean u_theta / g.  Angular faces (columns j, j+1; stored at column
     j): x = u_theta / g and y = mean u_r, u_r central at interior nodes and
-    one-sided on the boundary rows.  The slopes are linear in u, so u may
-    also be a stencil (see `_shift`); they then hold their coefficients.
+    one-sided on the boundary rows.  Each slope is a raw difference of u
+    times one of the metric columns the grid holds (1/h, 1/(4 dtheta g_face),
+    1/span, 1/(dtheta g)).  The slopes are linear in u, so u may also be a
+    stencil (see `_shift`); they then hold their coefficients.
     """
-    dt = grid.dtheta
-    h = grid.h_face[:, None]
     up, down, right = _shift(u, 1, 0), _shift(u, -1, 0), _shift(u, 0, 1)
-    uth = (right - _shift(u, 0, -1)) / (2.0 * dt)
-    x_r = (up - u)[..., :-1, :] / h
-    y_r = (0.5 * (uth + _shift(uth, 1, 0)))[..., :-1, :] / grid.g_face[:, None]
+    turn = right - _shift(u, 0, -1)  # 2 dtheta u_theta
+    x_r = (up - u)[..., :-1, :] * grid.inv_h
+    y_r = (turn + _shift(turn, 1, 0))[..., :-1, :] * grid.inv_4dt_gface
     ur = np.empty_like(u)
-    ur[..., 1:-1, :] = (up - down)[..., 1:-1, :] / (grid.r[2:] - grid.r[:-2])[:, None]
-    ur[..., 0, :] = (up - u)[..., 0, :] / h[0]
-    ur[..., -1, :] = (u - down)[..., -1, :] / h[-1]
-    x_t = (right - u) / dt / grid.g[:, None]
+    ur[..., 1:-1, :] = (up - down)[..., 1:-1, :] * grid.inv_span
+    ur[..., 0, :] = x_r[..., 0, :]  # one-sided: the slope of the innermost face
+    ur[..., -1, :] = (u - down)[..., -1, :] * grid.inv_h[-1]
+    x_t = (right - u) * grid.inv_dt_g
     y_t = 0.5 * (ur + _shift(ur, 0, 1))
     return (x_r, y_r), (x_t, y_t)
+
+
+def _faces(u: np.ndarray, grid: AnnulusGrid):
+    """The face slopes of u with W = sqrt(1 + x^2 + y^2): ((x_r, y_r, W_r), (x_t, y_t, W_t))."""
+    return tuple((x, y, np.sqrt(1.0 + x * x + y * y)) for x, y in _face_slopes(u, grid))
 
 
 def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -313,12 +332,16 @@ def _divergence(flux_r: np.ndarray, flux_t: np.ndarray, grid: AnnulusGrid) -> np
     No flux enters row 0: on inner = "pole" grids that face is the pole.
     """
     flux_r = np.concatenate([flux_r, np.zeros_like(flux_r[..., :1, :])], axis=-2)
-    res = (
-        (flux_r - _shift(flux_r, -1, 0)) / grid.control[:, None]
-        + (flux_t - _shift(flux_t, 0, -1)) / grid.dtheta
-    ) / grid.g[:, None]
+    res = ((flux_r - _shift(flux_r, -1, 0)) * grid.inv_control_g
+           + (flux_t - _shift(flux_t, 0, -1)) * grid.inv_dt_g)
     res[..., grid.pinned, :] = 0.0
     return res
+
+
+def _operator(faces, grid: AnnulusGrid) -> np.ndarray:
+    """The residual of `mse_operator` from the `_faces` of the field."""
+    (x_r, _, w_r), (x_t, _, w_t) = faces
+    return _divergence(grid.g_face[:, None] * x_r / w_r, x_t / w_t, grid)
 
 
 def mse_operator(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -331,12 +354,7 @@ def mse_operator(u: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"field shape {u.shape} does not match grid {grid.shape}")
-    (x_r, y_r), (x_t, y_t) = _face_slopes(u, grid)
-    return _divergence(
-        grid.g_face[:, None] * x_r / np.sqrt(1.0 + x_r * x_r + y_r * y_r),
-        x_t / np.sqrt(1.0 + x_t * x_t + y_t * y_t),
-        grid,
-    )
+    return _operator(_faces(u, grid), grid)
 
 
 def cartesian_operator_residual(height, x: float, y: float, step: float = 1e-3) -> float:
@@ -386,22 +404,26 @@ def _boundary_values(data, theta: np.ndarray):
 
 
 def _solve_residual(u, grid, inner_vals, outer_vals):
-    res = mse_operator(u, grid)
+    """(residual, faces) of u: the operator with the boundary rows' misfit, and its `_faces`."""
+    faces = _faces(u, grid)
+    res = _operator(faces, grid)
     if grid.inner == "dirichlet":
         res[0] = u[0] - inner_vals
     res[-1] = u[-1] - outer_vals
-    return res
+    return res, faces
 
 
-def _flux_weights(u: np.ndarray, grid: AnnulusGrid):
+def _flux_weights(faces):
     """Weights ((a_r, b_r), (a_t, b_t)) of the linearized radial and angular face fluxes.
 
-    For the face slopes (x, y) of u and W = sqrt(1 + x^2 + y^2),
-    d(x / W) = a dx - b dy with a = (1 + y^2) / W^3 and b = x y / W^3.
+    For the face slopes (x, y) and W of `_faces`, d(x / W) = a dx - b dy
+    with a = (1 + y^2) / W^3 and b = x y / W^3.  The solver passes the faces
+    that its residual evaluation kept, so a Newton step evaluates no slopes
+    of its iterate.
     """
     weights = []
-    for x, y in _face_slopes(u, grid):
-        w3 = (1.0 + x * x + y * y) ** 1.5
+    for x, y, w in faces:
+        w3 = w * w * w
         weights.append(((1.0 + y * y) / w3, x * y / w3))
     return tuple(weights)
 
@@ -412,8 +434,7 @@ def _lagged_weights(u: np.ndarray, grid: AnnulusGrid):
     The residual is linear in u at frozen W, so this step lands on the
     Picard iterate: the solution of div(grad u / W) = 0 with the boundary data.
     """
-    return tuple((1.0 / np.sqrt(1.0 + x * x + y * y), np.zeros_like(x))
-                 for x, y in _face_slopes(u, grid))
+    return tuple((1.0 / w, np.zeros_like(x)) for x, _, w in _faces(u, grid))
 
 
 def _linearized(weights, v: np.ndarray, grid: AnnulusGrid) -> np.ndarray:
@@ -637,58 +658,103 @@ def _newton_step(weights, rhs: np.ndarray, grid: AnnulusGrid, gmres: bool = True
     return _block_solve(_linearized(weights, _unit_stencil(grid), grid), rhs), "exact"
 
 
-def _radial_slopes(grid: AnnulusGrid, c: float) -> np.ndarray:
-    """Face slopes x = c / sqrt(g^2 - c^2) of the discrete radial solution of flux c."""
-    return c / np.sqrt((grid.g_face - c) * (grid.g_face + c))
+def _radial_slopes(grid: AnnulusGrid, x0: float) -> np.ndarray:
+    """Face slopes of the discrete radial solution whose innermost face has slope x0 >= 0.
+
+    Every radial face carries the flux g x / sqrt(1 + x^2) = c, so face i
+    has slope x = c / sqrt((g - c) (g + c)).  With Q = hypot(1, x0) the
+    innermost face gives c = g_0 x0 / Q and the deficit p = g_0 - c =
+    g_0 / (Q (Q + x0)), each to a few ulps, and g - c is formed as
+    (g - g_0) + p: near the attainable height c lies within a few ulps of
+    g_0, and p keeps the digits that g_0 - c would lose.
+    """
+    g, g0 = grid.g_face, grid.g_face[0]
+    q = math.hypot(1.0, x0)
+    c, p = g0 * x0 / q, g0 / q / (q + x0)
+    return c / np.sqrt((g - g0 + p) * (g + c))
+
+
+def _slope_root(excess, x_hi: float, ratio: float) -> float:
+    """Innermost slope x0 in [x_hi / ratio, x_hi] at which excess, increasing in x0, vanishes.
+
+    The search runs over log(x0 / x_hi), so the absolute tolerance of
+    `_secant_root` is a relative one in x0, at small heights and near the
+    attainable one alike.  An end at which excess already has the other
+    end's sign is the root to roundoff, and is taken.  Slopes are capped at
+    1e150, past which the deficit g_0 / (Q (Q + x0)) underflows: a root
+    beyond the cap gives the capped slope.
+    """
+    x_hi = min(x_hi, 1e150)
+    f_hi = excess(x_hi)
+    if f_hi <= 0.0:
+        return x_hi
+
+    def slope(t):
+        return x_hi * math.exp(t)
+
+    t_lo = -math.log(ratio)
+    f_lo = excess(slope(t_lo))
+    if f_lo >= 0.0:
+        return slope(t_lo)
+    return slope(_secant_root(lambda t: excess(slope(t)), t_lo, 0.0, f_lo, f_hi))
 
 
 def _discrete_radial_rise(grid: AnnulusGrid, delta: float) -> np.ndarray:
     """u - u[0] of the discrete radial solution on an annulus whose ends differ by delta.
 
     A theta-constant field has zero residual when every radial face carries
-    the same flux g x / sqrt(1 + x^2) = c, that is slope x = c / sqrt(g^2 - c^2).
-    The slopes must add up to delta, and that sum is odd and increasing in c
-    on (-g_0, g_0) and unbounded at its ends, so every finite delta has
-    one c.  It lies in [0, c_hi], c_hi = g_0 |delta| / sqrt(h_0^2 + delta^2),
-    where the innermost face, whose g is least since g grows with r, alone
-    rises by |delta|.  Where that root is finer than the floats below g_0
-    resolve, c_hi is taken.  A delta that has overflowed raises ValueError.
+    the same flux c (`_radial_slopes`).  The slopes must add up to |delta|,
+    and that sum grows with c on [0, g_0) and is unbounded at g_0, so every
+    finite delta has one c.  It is found in the innermost slope x0: the
+    innermost face has the largest slope, since g grows with r, so
+    |delta| / L <= x0 <= |delta| / h_0, L = r_N - r_0.  A delta that has
+    overflowed raises ValueError.
     """
     if not math.isfinite(delta):
         raise ValueError("the boundary data overflow their means")
-    g, h = grid.g_face, grid.h_face
+    h = grid.h_face
     target = abs(delta)
-    c_hi = min(g[0] * target / math.hypot(h[0], target), math.nextafter(g[0], 0.0))
 
-    def excess(c):
-        return float(h @ _radial_slopes(grid, c)) - target
+    def excess(x0):
+        return float(h @ _radial_slopes(grid, x0)) - target
 
-    f_hi = excess(c_hi)
-    c = c_hi if f_hi <= 0.0 else _secant_root(excess, 0.0, c_hi, -target, f_hi)
-    rise = math.copysign(1.0, delta) * h * _radial_slopes(grid, c)
+    x0 = _slope_root(excess, target / h[0], (grid.r[-1] - grid.r[0]) / h[0])
+    rise = math.copysign(1.0, delta) * h * _radial_slopes(grid, x0)
     return np.concatenate([[0.0], np.cumsum(rise)])
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
-    # the discrete radial solution between the boundary means, exact for
-    # theta-constant data, plus the angular variation blended along the
-    # radially harmonic coordinate S = int dr/g; on graded grids the plain
-    # blend starts Newton in a bad basin
+    """Initial Newton iterate for the boundary data.
+
+    On a disk, the harmonic extension of the data phi: the slice is
+    conformal to the unit disk through rho = `conformal_radius`, so that is
+    sum_k phi_k (rho / rho(R))^|k| e^{i k theta}, one real FFT of the data
+    with mode k damped by (rho_i / rho(R))^k on ring i.  It solves the
+    graph equation up to O(phi^3) in the amplitude of phi - mean phi, which
+    is split off first, so constant data give that constant exactly.
+
+    On an annulus, the discrete radial solution between the boundary means,
+    exact for theta-constant data, plus the angular variation blended along
+    the radially harmonic coordinate S = int dr/g; on graded grids the
+    plain blend starts Newton in a bad basin.
+    """
+    if grid.inner == "pole":
+        mean = float(np.mean(outer_vals))
+        ratio = conformal_radius(grid.r) / conformal_radius(grid.r[-1])
+        damping = ratio[:, None] ** np.arange(grid.shape[1] // 2 + 1)
+        modes = np.fft.rfft(outer_vals - mean)
+        return mean + np.fft.irfft(modes * damping, n=grid.shape[1], axis=1)
     s_incr = grid.h_face * 0.5 * (1.0 / grid.g[1:] + 1.0 / grid.g[:-1])
     s_coord = np.concatenate([[0.0], np.cumsum(s_incr)])
     w = (s_coord - s_coord[0]) / (s_coord[-1] - s_coord[0])
-    if grid.inner == "dirichlet":
-        mean_in = float(np.mean(inner_vals))
-        mean_out = float(np.mean(outer_vals))
-        base = mean_in + _discrete_radial_rise(grid, mean_out - mean_in)[:, None]
-        return (
-            base
-            + (inner_vals - mean_in)[None, :] * (1.0 - w[:, None])
-            + (outer_vals - mean_out)[None, :] * w[:, None]
-        )
-    mean = float(np.mean(outer_vals))
-    shape = (grid.g / grid.g[-1])[:, None]
-    return mean + (outer_vals[None, :] - mean) * shape
+    mean_in = float(np.mean(inner_vals))
+    mean_out = float(np.mean(outer_vals))
+    base = mean_in + _discrete_radial_rise(grid, mean_out - mean_in)[:, None]
+    return (
+        base
+        + (inner_vals - mean_in)[None, :] * (1.0 - w[:, None])
+        + (outer_vals - mean_out)[None, :] * w[:, None]
+    )
 
 
 def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None) -> np.ndarray:
@@ -744,12 +810,12 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
             return _solve_residual(v, grid, inner_vals, outer_vals)
 
     def line_search(du, m0):
-        """Halve from the full step until the merit decreases: (u, res, omega, merit) or None."""
+        """Halve the step until the merit decreases: (u, res, faces, omega, merit) or None."""
         omega = 1.0
         while omega > 1e-6:
             trial = u + omega * du
             try:
-                res_t = residual(trial)
+                res_t, faces_t = residual(trial)
             except FloatingPointError:
                 pass  # rejected like a merit increase
             else:
@@ -758,12 +824,13 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
                     m_t < m0 * (1.0 - 1e-4 * omega)
                     or float(np.max(np.abs(res_t))) <= cfg.newton_tol
                 ):
-                    return trial, res_t, omega, m_t
+                    return trial, res_t, faces_t, omega, m_t
+                del res_t, faces_t  # a rejected trial's faces are not kept
             omega *= 0.5
         return None
 
     try:
-        res = residual(u)
+        res, faces = residual(u)
     except FloatingPointError:
         raise ValueError("initial guess overflows the residual") from None
     omega_used, kind, krylov, gmres = 1.0, "none", 0, True
@@ -780,12 +847,19 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
         # the lagged-diffusivity step from the same iterate, and the step with
         # the lower merit is taken: the Newton direction can stall where the
         # lagged one still makes progress
-        for name, weights_at in (("newton", _flux_weights), ("lagged", _lagged_weights)):
+        for name in ("newton", "lagged"):
             try:
                 # at an iterate with slopes near 1e100 the weights and GMRES
                 # overflow; their non-finite results are caught below
                 with np.errstate(over="ignore", invalid="ignore"):
-                    du, k = _newton_step(weights_at(u, grid), -res, grid, gmres, eta)
+                    if name == "newton":
+                        # from the faces that the iterate's residual evaluation
+                        # kept, released so that the linear solve does not hold them
+                        weights, faces = _flux_weights(faces), None
+                    else:
+                        weights = _lagged_weights(u, grid)
+                    du, k = _newton_step(weights, -res, grid, gmres, eta)
+                del weights
             except np.linalg.LinAlgError:
                 raise NewtonError("singular linearization in Newton step", rnorm) from None
             if not np.all(np.isfinite(du)):
@@ -794,15 +868,16 @@ def dirichlet_solve(grid: AnnulusGrid, inner, outer, cfg: SolverConfig, u0=None)
             # the rest of the solve: its later linear solves go straight to the fallback
             gmres = k != "exact"
             step = line_search(du, m0)
-            if step is not None and (best is None or step[3] < best[0][3]):
+            if step is not None and (best is None or step[4] < best[0][4]):
                 best = step, name, k
-            if best is not None and best[0][2] == 1.0:
+            del step  # a step that is not the best releases its faces here
+            if best is not None and best[0][3] == 1.0:
                 break
         if best is None:
             raise NewtonError(
                 f"Newton stagnated at residual {rnorm:.3e} (no productive damping)", rnorm
             )
-        (u, res, omega_used, _), kind, krylov = best
+        (u, res, faces, omega_used, _), kind, krylov = best
     rnorm = float(np.max(np.abs(res)))
     raise NewtonError(
         f"Newton did not converge in {cfg.max_newton} iterations "
@@ -895,24 +970,22 @@ def _consecutive_sup_diffs(grids, fields, masks) -> list:
     return diffs
 
 
-def _gradient_flux(grid: AnnulusGrid, s: float) -> float:
-    """Flux c of the discrete radial solution from u_0 = 0 whose inner gradient is s > 0.
+def _gradient_slope(grid: AnnulusGrid, s: float) -> float:
+    """Innermost slope x0 of the discrete radial solution from u_0 = 0 of inner gradient s > 0.
 
     That gradient, a1 u_1 + a2 u_2 in `boundary_gradient_sup`, is
-    G(c) = A x_0 - B x_1 with A - B = 1 and x_0 >= x_1 (g grows with r), so G
-    increases on [0, g_0) and G >= x_0, which is s at c_hi = g_0 s / sqrt(1 + s^2).
-    A root finer than the floats below g_0 resolve is taken as c_hi.
+    G = A x_0 - B x_1 with A - B = 1, B >= 0 and x_0 >= x_1 (g grows with r),
+    so it increases with the flux and x_0 <= G <= A x_0: the root x0 lies in
+    [s / A, s] (`_slope_root`).
     """
     _, a1, a2 = _inner_difference(grid)
-    h, g0 = grid.h_face[:2], grid.g_face[0]
-    c_hi = min(g0 * s / math.hypot(1.0, s), math.nextafter(g0, 0.0))
+    h = grid.h_face[:2]
 
-    def mismatch(c):
-        u1, u2 = np.cumsum(h * _radial_slopes(grid, c)[:2])
+    def mismatch(x0):
+        u1, u2 = np.cumsum(h * _radial_slopes(grid, x0)[:2])
         return a1 * u1 + a2 * u2 - s
 
-    f_hi = mismatch(c_hi)
-    return c_hi if f_hi <= 0.0 else _secant_root(mismatch, 0.0, c_hi, -s, f_hi)
+    return _slope_root(mismatch, s, (a1 + a2) * h[0])
 
 
 def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
@@ -920,7 +993,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
 
     For each truncation radius m: zero inner data on r = r0 and the constant
     outer value t_m on r = m of the discrete radial solution whose inner
-    boundary gradient is s (`_gradient_flux`).  A t_m outside [previous t_m,
+    boundary gradient is s (`_gradient_slope`).  A t_m outside [previous t_m,
     f(m - r0)], f the radial barrier, raises BracketError.  One Dirichlet
     solve started at that solution returns it, with no Newton step unless its
     roundoff residual exceeds cfg.newton_tol; a returned gradient off s by
@@ -952,7 +1025,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             u = np.zeros(grid.shape)
             t_m, grad = 0.0, 0.0
         else:
-            slopes = _radial_slopes(grid, _gradient_flux(grid, s))
+            slopes = _radial_slopes(grid, _gradient_slope(grid, s))
             rise = np.concatenate([[0.0], np.cumsum(grid.h_face * slopes)])
             t_m = float(rise[-1])
             if not prev_t <= t_m <= cap:

@@ -226,9 +226,14 @@ def test_cartesian_chart_cross_validation():
 # ---------------------------------------------------------------- linearization
 
 
+def _weights(u, grid):
+    """Newton face weights at u, from its faces as the solver evaluates them."""
+    return sv._flux_weights(sv._faces(u, grid))
+
+
 def _jacobian(u, grid):
     """Exact Jacobian stencil of the solve residual at u, window axes first."""
-    return sv._linearized(sv._flux_weights(u, grid), sv._unit_stencil(grid), grid)
+    return sv._linearized(_weights(u, grid), sv._unit_stencil(grid), grid)
 
 
 def _stencil_matrix(stencil):
@@ -324,7 +329,7 @@ def _averaged_column(source, n_r, n_theta):
         return _dominant_stencil(n_r, 1, n_r * n_theta)[..., 0]
     grid, _, _, u, _ = _linearization_state(source, n_theta, grading=2.0, n_r=n_r)
     mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face)
-                 for face in sv._flux_weights(u, grid))
+                 for face in _weights(u, grid))
     return sv._linearized(mean, sv._unit_stencil(grid), grid)[..., 0]
 
 
@@ -363,7 +368,7 @@ def test_krylov_solve_matches_sparse_oracle(kind, n_theta):
     # more than MAX_KRYLOV for these white-noise right-hand sides and so
     # check the fallback
     _check_against_sparse_oracle(
-        lambda u, grid: lambda rhs: sv._newton_step(sv._flux_weights(u, grid), rhs, grid)[0],
+        lambda u, grid: lambda rhs: sv._newton_step(_weights(u, grid), rhs, grid)[0],
         kind, n_theta,
     )
 
@@ -377,7 +382,7 @@ def test_strongly_non_radial_state_takes_the_exact_fallback():
     matrix = _stencil_matrix(_jacobian(u, grid))
     for seed in (7, 8):
         rhs = np.random.default_rng(seed).standard_normal(grid.shape)
-        x, krylov = sv._newton_step(sv._flux_weights(u, grid), rhs, grid)
+        x, krylov = sv._newton_step(_weights(u, grid), rhs, grid)
         assert krylov == "exact"
         ref = spsolve(matrix, rhs.ravel()).reshape(grid.shape)
         assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -391,7 +396,7 @@ def test_gmres_meets_its_tolerance(monkeypatch, rtol):
     rhs = np.random.default_rng(5).standard_normal(grid.shape)
     gmres, calls = sv._gmres, []
     monkeypatch.setattr(sv, "_gmres", lambda *a: calls.append(a) or gmres(*a))
-    x, krylov = sv._newton_step(sv._flux_weights(u, grid), rhs, grid, rtol=rtol)
+    x, krylov = sv._newton_step(_weights(u, grid), rhs, grid, rtol=rtol)
     [(apply, precond, b, tol)] = calls
     assert krylov != "exact" and tol == rtol
     assert np.linalg.norm(precond(b - apply(x))) <= rtol * np.linalg.norm(precond(b))
@@ -408,7 +413,7 @@ _LINEARIZATION_CASES = [
 def test_matrix_free_product_matches_stencil(kind, grading):
     grid, _, _, u, _ = _linearization_state(kind, 16, grading=grading)
     v = np.random.default_rng(6).standard_normal(grid.shape)
-    jv = sv._linearized(sv._flux_weights(u, grid), v, grid)
+    jv = sv._linearized(_weights(u, grid), v, grid)
     ref = (_stencil_matrix(_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
     assert np.max(np.abs(jv - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -418,7 +423,7 @@ def test_averaged_weights_give_the_averaged_stencil(kind, grading):
     # the preconditioner's one-column stencil is the theta-average of the full one
     grid, _, _, u, _ = _linearization_state(kind, 16, grading=grading)
     mean = tuple(tuple(w.mean(axis=1, keepdims=True) for w in face)
-                 for face in sv._flux_weights(u, grid))
+                 for face in _weights(u, grid))
     column = sv._linearized(mean, sv._unit_stencil(grid), grid)[..., 0]
     averaged = _jacobian(u, grid).mean(axis=3)
     err = np.max(np.abs(column - averaged))
@@ -443,10 +448,10 @@ def test_jacobian_taylor_remainder(kind, grading):
     grid, inner_vals, outer_vals, u, xi = _linearization_state(kind, 16, grading=grading)
     th = grid.theta[None, :]
     v = np.sin(math.pi * xi) * (1.0 + np.cos(th) + 0.5 * np.sin(3.0 * th))
-    res = sv._solve_residual(u, grid, inner_vals, outer_vals)
+    res = sv._solve_residual(u, grid, inner_vals, outer_vals)[0]
     jv = (_stencil_matrix(_jacobian(u, grid)) @ v.ravel()).reshape(grid.shape)
     remainders = [
-        np.max(np.abs(sv._solve_residual(u + eps * v, grid, inner_vals, outer_vals)
+        np.max(np.abs(sv._solve_residual(u + eps * v, grid, inner_vals, outer_vals)[0]
                       - res - eps * jv))
         for eps in 1e-2 / 2.0 ** np.arange(5)
     ]
@@ -470,8 +475,8 @@ def test_jacobian_matches_dense_central_differences(kind):
     u = u + 0.3 * np.random.default_rng(5).standard_normal(grid.shape)
     h = 1e-6
     dense = np.array([
-        (sv._solve_residual(u + e, grid, inner_vals, outer_vals)
-         - sv._solve_residual(u - e, grid, inner_vals, outer_vals)).ravel() / (2 * h)
+        (sv._solve_residual(u + e, grid, inner_vals, outer_vals)[0]
+         - sv._solve_residual(u - e, grid, inner_vals, outer_vals)[0]).ravel() / (2 * h)
         for e in h * np.eye(u.size).reshape((-1,) + grid.shape)
     ]).T
     jac = _stencil_matrix(_jacobian(u, grid)).toarray()
@@ -504,11 +509,13 @@ def test_default_guess_is_the_discrete_radial_solution(r_in, r_out, n_r, grading
     # every face of the theta-constant guess carries one flux c, so its
     # residual is roundoff.  Only on the inner faces of grading 3 at n_r 256
     # (1.8e-7 and 1.8e-6 wide) can one ulp of c in the cell of least
-    # g * control exceed newton_tol; there the bound is four such ulps
+    # g * control exceed newton_tol; there the bound is four such ulps.
+    # Twice the continuum's attainable height puts c within a few ulps of
+    # g_0, where g - c keeps its digits only as (g - g_0) + (g_0 - c)
     grid = sv.AnnulusGrid.annulus(r_in, r_out, n_r, 8, grading)
     zeros = np.zeros(8)
     attain = rd.flux_height_difference(sv.warp_g(r_in), r_in, r_out)
-    for share in (1e-8, 0.01, 0.5, 0.99, 1.0):
+    for share in (1e-8, 0.01, 0.5, 0.99, 1.0, 2.0):
         delta = share * attain
         u = sv._default_guess(grid, zeros, np.full(8, delta))
         assert np.all(u[:, :1] == u) and np.all(np.diff(u[:, 0]) > 0)
@@ -518,7 +525,7 @@ def test_default_guess_is_the_discrete_radial_solution(r_in, r_out, n_r, grading
             c = np.max(grid.g_face * x / np.sqrt(1.0 + x * x))
             bound = 4.0 * np.finfo(float).eps * c / np.min((grid.g * grid.control)[1:-1])
         for sign in (1.0, -1.0):
-            res = sv._solve_residual(sign * u, grid, zeros, np.full(8, sign * delta))
+            res = sv._solve_residual(sign * u, grid, zeros, np.full(8, sign * delta))[0]
             assert np.max(np.abs(res)) <= bound, (share, sign)
         # odd in the height difference, bit for bit
         assert np.array_equal(sv._default_guess(grid, zeros, np.full(8, -delta)), -u)
@@ -526,10 +533,47 @@ def test_default_guess_is_the_discrete_radial_solution(r_in, r_out, n_r, grading
         const = np.full(8, value)
         assert np.all(sv._default_guess(grid, const, const) == value)
     # far beyond the continuum's attainable height a discrete flux still
-    # exists, though finer than the floats resolve: the guess stays finite
+    # exists, though finer than the floats near g_0 resolve: the guess
+    # reaches the data, and past an innermost slope of 1e150 it stays finite
     # and monotone
     u = sv._default_guess(grid, zeros, np.full(8, 1e6))
+    assert abs(u[-1, 0] - 1e6) <= 1e-9 and np.all(np.diff(u[:, 0]) >= 0)
+    u = sv._default_guess(grid, zeros, np.full(8, 1e300))
     assert np.all(np.isfinite(u)) and np.all(np.diff(u[:, 0]) >= 0)
+    # subnormal heights leave the bracket of the innermost slope finite
+    for delta in (5e-324, 1e-310):
+        rise = sv._discrete_radial_rise(grid, delta)
+        assert np.all(np.diff(rise) >= 0) and rise[-1] <= 2.0 * delta
+
+
+@pytest.mark.parametrize("n_theta", [8, 12, 16, 64])
+@pytest.mark.parametrize("radius", [2.0, 8.0, 32.0])
+def test_disk_guess_is_the_conformal_harmonic_extension(radius, n_theta):
+    # the slice is conformal to the unit disk through rho = conformal_radius,
+    # so the harmonic extension of data with modes 0-3 is
+    # sum_k phi_k (rho / rho(R))^|k| e^{i k theta}, summed here mode by mode
+    grid = sv.AnnulusGrid.disk(radius, 33, n_theta)
+    th = grid.theta
+    a, b = np.random.default_rng(n_theta).standard_normal((2, 4))
+    phi = a[0] + sum(a[k] * np.cos(k * th) + b[k] * np.sin(k * th) for k in (1, 2, 3))
+    ratio = (conformal_radius(grid.r) / conformal_radius(radius))[:, None]
+    ref = a[0] + sum(ratio**k * (a[k] * np.cos(k * th) + b[k] * np.sin(k * th))
+                     for k in (1, 2, 3))
+    u = sv._default_guess(grid, None, phi)
+    assert np.max(np.abs(u - ref)) <= 1e-15 * np.max(np.abs(ref))
+    for value in (0.0, 0.7, -7.25, 1.0 / 3.0):
+        assert np.all(sv._default_guess(grid, None, np.full(n_theta, value)) == value)
+
+
+def test_graded_annulus_at_half_the_attainable_height_converges():
+    # the guess's residual on row 1, beside a 1.8e-7-wide face, is roundoff
+    # at the size of newton_tol (2.1e-11 to 2.9e-10 within three ulps of the
+    # root); one damped step converges from it where the solve once
+    # stagnated at 1.446e-10
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 256, 8, 3.0)
+    half = 0.5 * rd.flux_height_difference(sv.warp_g(1.0), 1.0, 4.0)
+    u = sv.dirichlet_solve(grid, 0.0, half, small_cfg())
+    assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
 
 
 def test_overflowing_boundary_means_are_refused():
@@ -579,9 +623,8 @@ def test_newton_failure_reports_residual():
 def test_singular_linearization_raises_newton_error(monkeypatch):
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 16, 8)
 
-    def zero_weights(u, grid):
-        n1, m = grid.shape
-        return (np.zeros((n1 - 1, m)),) * 2, (np.zeros((n1, m)),) * 2
+    def zero_weights(faces):
+        return tuple((np.zeros_like(x),) * 2 for x, _, _ in faces)
 
     monkeypatch.setattr(sv, "_flux_weights", zero_weights)
     # radial data start at the discrete solution and linearize nothing
@@ -881,6 +924,21 @@ def test_exterior_gradient_matches_s_to_roundoff(s, grading, n_r):
     assert all(t_m <= cap for t_m, cap in zip(sol.t_trace, sol.barrier_caps))
 
 
+@pytest.mark.parametrize("s", [1e3, 1e5])
+def test_steep_exterior_gradient_matches_s(s):
+    # at s = 1e5 the flux lies within 1e-10 of g_0, finer than a root-find
+    # in the flux resolves: the gradient once missed s by 1.2e-2 and the
+    # command exited 1.  Found in the innermost slope, it misses by roundoff
+    from nil3lab.cli import main
+
+    sol = sv.exterior_solve(s, 1.0, sv.SolverConfig())
+    grads = sol.boundary_gradients
+    assert all(abs(grad - s) <= 1e-14 * s for grad in grads), grads
+    assert np.all(np.diff(sol.t_trace) >= 0)
+    assert all(t_m <= cap for t_m, cap in zip(sol.t_trace, sol.barrier_caps))
+    assert main(["exterior", "--s", f"{s:g}", "--r0", "1"]) == 0
+
+
 def test_exterior_steps_take_one_krylov_iteration(caplog):
     # radial states are where the theta-averaged preconditioner is the Newton
     # system itself.  The exterior solves take no step, so each of their
@@ -985,16 +1043,27 @@ def test_asymptotic_cosine_properties():
 
 
 def test_asymptotic_jacobian_counters(monkeypatch, caplog):
-    # cold-started non-radial solves converge in four inexact Newton steps;
-    # each step's GMRES stops at a forcing term of the order of the residual,
-    # which takes 24 iterations in all here
+    # cold-started non-radial solves start at the conformal harmonic
+    # extension of the data and converge in four or three inexact Newton
+    # steps; each step's GMRES stops at a forcing term of the order of the
+    # residual, which takes 26 iterations in all here.  Face slopes are
+    # evaluated once per residual, GMRES product and preconditioner column:
+    # a step linearizes at the faces that its iterate's residual kept
     cfg = small_cfg()
     solves = _record_solves(monkeypatch, caplog)
+    calls = {"_face_slopes": 0, "_solve_residual": 0, "_newton_step": 0}
+    for name in calls:
+        def counted(*a, _f=getattr(sv, name), _name=name, **k):
+            calls[_name] += 1
+            return _f(*a, **k)
+        monkeypatch.setattr(sv, name, counted)
     sol = sv.asymptotic_solve(BoundaryData.cosine(1.0), cfg, radii=(6.0, 10.0, 14.0))
-    assert [steps for _, _, steps in solves] == [4, 4, 4]
+    assert [steps for _, _, steps in solves] == [4, 3, 3]
     krylov = [int(k) for r in caplog.records
               for k in re.findall(r" krylov=(\d+)$", r.getMessage())]
-    assert 0 < sum(krylov) <= 30, krylov
+    assert sum(krylov) == 26, krylov
+    assert calls["_newton_step"] == 10
+    assert calls["_face_slopes"] == calls["_solve_residual"] + sum(krylov) + calls["_newton_step"]
     for grid, u in zip(sol.grids, sol.fields):
         assert np.max(np.abs(sv.mse_operator(u, grid))) <= cfg.newton_tol
 
