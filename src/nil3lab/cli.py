@@ -22,8 +22,6 @@ import numpy as np
 from . import meshio, radial, solver, surface, verify
 from .nilcore import ChartPoint, TangentVector, integrate_geodesic
 
-SQRT2 = math.sqrt(2.0)
-
 
 def _echo_config(args: argparse.Namespace, cfg=None) -> None:
     print("# resolved configuration")
@@ -73,17 +71,16 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_curvature(args) -> int:
     _echo_config(args)
-    radii = [float(x) for x in args.r.split(",")]
+    radii = np.array([float(x) for x in args.r.split(",")])
+    p = surface.PolarCoord(radii, 0.0).to_surface_point()
+    k_fd = surface.gaussian_curvature_riemann(p)
+    cands = surface.curvature_closed_forms(p)
     print("r  K_connection_fd  K_warp_closed  K_doubled_candidate")
-    worst = 0.0
-    for r in radii:
-        p = surface.PolarCoord(r, 0.0).to_surface_point()
-        k_fd = surface.gaussian_curvature_riemann(p)
-        cands = surface.curvature_closed_forms(p)
-        worst = max(worst, abs(k_fd - cands.k_warp))
-        print(f"{r:g}  {k_fd:.10g}  {cands.k_warp:.10g}  {cands.k_doubled:.10g}")
+    for r, k, k_warp, k_doubled in zip(radii, k_fd, cands.k_warp, cands.k_doubled):
+        print(f"{r:g}  {k:.10g}  {k_warp:.10g}  {k_doubled:.10g}")
     print(
-        f"adjudication: oracles agree with the single-warp value to {worst:.2e}; "
+        "adjudication: oracles agree with the single-warp value to "
+        f"{np.max(np.abs(k_fd - cands.k_warp)):.2e}; "
         "the doubled candidate is inconsistent with the connection data (discrepancy)"
     )
     return 0
@@ -103,16 +100,15 @@ def _cmd_catenoid(args) -> int:
         raise ValueError("--samples must be at least 2: a profile needs two nodes")
     t_nodes = np.linspace(params.t0, args.tmax, args.samples)
     prof = radial.catenoid_profile(params, t_nodes, tol=args.tol)
+    heights = surface.CenterElement.from_arc_length(prof.value).t  # chart offsets
     flux_lo = radial.catenoid_flux_check(params, params.t0 + 0.25 * (args.tmax - params.t0))
     flux_hi = radial.catenoid_flux_check(params, args.tmax)
     print(f"neck minimum t0_min(c) = {radial.t0_min(args.c):.12g}")
-    print(f"flux constant c/(2 sqrt 2) = {args.c / (2 * SQRT2):.12g}")
+    print(f"flux constant c/(2 sqrt 2) = {prof.flux:.12g}")
     print(f"flux check at two radii: {flux_lo:.12g}, {flux_hi:.12g}")
-    print(f"height at tmax (chart offset): {prof.value[-1] / SQRT2:.12g}")
+    print(f"height at tmax (chart offset): {heights[-1]:.12g}")
     if args.export_csv:
-        meshio.export_csv(
-            {"t": prof.r, "h": prof.value / SQRT2, "uprime": prof.deriv}, args.export_csv
-        )
+        meshio.export_csv({"t": prof.r, "h": heights, "uprime": prof.deriv}, args.export_csv)
         print(f"wrote {args.export_csv}")
     if args.export_obj:
         sample = verify.catenoid_sample(params, args.tmax, n_t=args.samples, tol=args.tol)

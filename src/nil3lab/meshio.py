@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nilcore import ChartPoint
 from .radial import RadialProfile
 
 __all__ = [
@@ -43,8 +44,8 @@ def surface_mesh(sample) -> tuple[np.ndarray, np.ndarray]:
     n_u, n_v = len(ugrid), len(vgrid)
     if sample.periodic_v and n_v < 3:
         raise MeshValidationError(f"a periodic v-direction needs at least 3 samples, got {n_v}")
-    verts = sample.points(ugrid[:, None], vgrid[None, :]).reshape(n_u * n_v, 3)
-    verts[:, 2] += verts[:, 0] * verts[:, 1] / 2.0
+    g = ChartPoint(*sample.points(ugrid[:, None], vgrid[None, :]).reshape(-1, 3).T).to_group()
+    verts = np.stack([g.x, g.y, g.z], axis=-1)
 
     v_pairs = n_v if sample.periodic_v else n_v - 1
     i = np.arange(n_u - 1)[:, None]

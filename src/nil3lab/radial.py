@@ -335,9 +335,14 @@ def barrier_ode_residual(params: BarrierParams, r, step: float = 1e-3):
     fpp = (-fp(r + 2 * step) + 8 * fp(r + step) - 8 * fp(r - step) + fp(r - 2 * step)) / (
         12.0 * step
     )
-    a = params.alpha
-    out = fpp + fp(r) * 2.0 * (r - a) / ((r + a) ** 2 + 8.0)
+    out = fpp + fp(r) * _curvature_lower_bound(r, params.alpha)
     return float(out) if r.ndim == 0 else out
+
+
+def _curvature_lower_bound(r, alpha):
+    """2(r - alpha)/((r + alpha)^2 + 8); 0, its limit, once the square overflows."""
+    with np.errstate(over="ignore"):
+        return 2.0 * (r - alpha) / ((r + alpha) ** 2 + 8.0)
 
 
 @dataclass
@@ -371,12 +376,10 @@ def subsolution_check(params: BarrierParams, r0: float, grid) -> SubsolutionRepo
     if params.s == 0:
         mop = np.zeros_like(r)
     else:
-        fpp = -fp * 2.0 * (r - params.alpha) / ((r + params.alpha) ** 2 + 8.0)
+        fpp = -fp * _curvature_lower_bound(r, params.alpha)
         kappa = geodesic_circle_curvature(bigr)
         mop = (fpp + fp * (1.0 + fp * fp) * kappa) / (1.0 + fp * fp) ** 1.5
-    margin = geodesic_circle_curvature(bigr) - 2.0 * (r - params.alpha) / (
-        (r + params.alpha) ** 2 + 8.0
-    )
+    margin = geodesic_circle_curvature(bigr) - _curvature_lower_bound(r, params.alpha)
     return SubsolutionReport(
         r=r,
         operator_values=mop,

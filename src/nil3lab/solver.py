@@ -393,9 +393,7 @@ def cartesian_operator_residual(height, x: float, y: float, step: float = 1e-3) 
 def _boundary_values(data, theta: np.ndarray):
     if data is None:
         return None
-    if callable(data):
-        return np.asarray(data(theta), dtype=float)
-    arr = np.asarray(data, dtype=float)
+    arr = np.asarray(data(theta) if callable(data) else data, dtype=float)
     if arr.ndim == 0:
         return np.full_like(theta, float(arr))
     if arr.shape != theta.shape:
@@ -674,6 +672,11 @@ def _radial_slopes(grid: AnnulusGrid, x0: float) -> np.ndarray:
     return c / np.sqrt((g - g0 + p) * (g + c))
 
 
+def _radial_rise(grid: AnnulusGrid, x0: float, sign: float = 1.0) -> np.ndarray:
+    """u - u[0] of the discrete radial solution of innermost slope x0, rising if sign > 0."""
+    return np.concatenate([[0.0], np.cumsum(sign * grid.h_face * _radial_slopes(grid, x0))])
+
+
 def _slope_root(excess, x_hi: float, ratio: float) -> float:
     """Innermost slope x0 in [x_hi / ratio, x_hi] at which excess, increasing in x0, vanishes.
 
@@ -719,8 +722,7 @@ def _discrete_radial_rise(grid: AnnulusGrid, delta: float) -> np.ndarray:
         return float(h @ _radial_slopes(grid, x0)) - target
 
     x0 = _slope_root(excess, target / h[0], (grid.r[-1] - grid.r[0]) / h[0])
-    rise = math.copysign(1.0, delta) * h * _radial_slopes(grid, x0)
-    return np.concatenate([[0.0], np.cumsum(rise)])
+    return _radial_rise(grid, x0, math.copysign(1.0, delta))
 
 
 def _default_guess(grid: AnnulusGrid, inner_vals, outer_vals) -> np.ndarray:
@@ -979,13 +981,12 @@ def _gradient_slope(grid: AnnulusGrid, s: float) -> float:
     [s / A, s] (`_slope_root`).
     """
     _, a1, a2 = _inner_difference(grid)
-    h = grid.h_face[:2]
 
     def mismatch(x0):
-        u1, u2 = np.cumsum(h * _radial_slopes(grid, x0)[:2])
+        u1, u2 = _radial_rise(grid, x0)[1:3]
         return a1 * u1 + a2 * u2 - s
 
-    return _slope_root(mismatch, s, (a1 + a2) * h[0])
+    return _slope_root(mismatch, s, (a1 + a2) * grid.h_face[0])
 
 
 def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
@@ -1025,8 +1026,7 @@ def exterior_solve(s: float, r0: float, cfg: SolverConfig) -> ExteriorSolution:
             u = np.zeros(grid.shape)
             t_m, grad = 0.0, 0.0
         else:
-            slopes = _radial_slopes(grid, _gradient_slope(grid, s))
-            rise = np.concatenate([[0.0], np.cumsum(grid.h_face * slopes)])
+            rise = _radial_rise(grid, _gradient_slope(grid, s))
             t_m = float(rise[-1])
             if not prev_t <= t_m <= cap:
                 raise BracketError(f"outer value {t_m:.8g} for s={s} at m={m} leaves "

@@ -5,11 +5,11 @@ geodesics and distance, the isometric circle action, the product splitting
 onto (slice) x (center line), the warp function g(r) of the induced metric
 dr^2 + g(r)^2 dtheta^2, and two independent curvature computations.
 
-Convention: heights along the center line carry a sqrt(2) arc-length factor
-(<Z, Z> = 2).  Solver modules store heights in arc-length units and convert
-to matrix z-offsets only at export time.
-The point maps and `second_fundamental_form_slice` broadcast over points
-whose coordinates are numpy arrays.
+Each convention of the splitting has one home: the graph chart zeta = z - xy/2
+in `nilcore.ChartPoint`/`GroupElement`, the polar map (x, y) = r/sqrt(2) (cos, sin)
+in `PolarCoord`, and the sqrt(2) arc-length factor of center heights (<Z, Z> = 2),
+in which the solver stores heights, in `CenterElement`.  The point maps,
+`PolarCoord` and `second_fundamental_form_slice` broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -65,28 +65,28 @@ class SurfacePoint:
         return ChartPoint(self.x, self.y, 0.0)
 
     def to_group(self) -> GroupElement:
-        return GroupElement(self.x, self.y, self.x * self.y / 2.0)
+        return self.to_chart().to_group()
 
 
 @dataclass(frozen=True)
 class PolarCoord:
-    """Geodesic polar coordinates: r is the distance to the identity,
-    theta_pol the plane polar angle atan2(y, x)."""
+    """Geodesic polar coordinates, floats or broadcastable arrays: r >= 0 is the
+    distance to the identity, theta_pol the plane polar angle atan2(y, x)."""
 
     r: float
     theta_pol: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0):
+        if not np.all(np.isfinite(self.r) & (np.asarray(self.r) >= 0)):
             raise ValueError("polar radius must be finite and nonnegative")
 
     def to_surface_point(self) -> SurfacePoint:
         rho = self.r / SQRT2
-        return SurfacePoint(rho * math.cos(self.theta_pol), rho * math.sin(self.theta_pol))
+        return SurfacePoint(rho * np.cos(self.theta_pol), rho * np.sin(self.theta_pol))
 
     @staticmethod
     def from_surface_point(p: SurfacePoint) -> "PolarCoord":
-        return PolarCoord(distance_to_identity(p), math.atan2(p.y, p.x) % (2.0 * math.pi))
+        return PolarCoord(distance_to_identity(p), np.arctan2(p.y, p.x) % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,11 @@ class CenterElement:
     @property
     def arc_length(self) -> float:
         return SQRT2 * self.t
+
+    @classmethod
+    def from_arc_length(cls, s) -> "CenterElement":
+        """The element at signed arc length s (a float or an array) from e."""
+        return cls(s / SQRT2)
 
     def to_group(self) -> GroupElement:
         return GroupElement(0.0, 0.0, self.t)
@@ -138,9 +143,9 @@ def geodesic_closed_form(theta: float, t: float) -> GeodesicPoint:
     """
     if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(t))):
         raise ValueError("geodesic launch parameter and time must be finite")
-    x = 0.5 * t * (np.cos(theta) - np.sin(theta))
-    y = 0.5 * t * (np.sin(theta) + np.cos(theta))
-    return GeodesicPoint(SurfacePoint(x, y), x * y / 2.0)
+    p = SurfacePoint(0.5 * t * (np.cos(theta) - np.sin(theta)),
+                     0.5 * t * (np.sin(theta) + np.cos(theta)))
+    return GeodesicPoint(p, p.to_group().z)
 
 
 def distance_to_identity(p: SurfacePoint):
@@ -155,20 +160,19 @@ def circle_action(theta: float, g: GroupElement) -> GroupElement:
     center line pointwise, and satisfies the action law
     A(t1, A(t2, g)) = A(t1 + t2, g).
     """
+    q = g.to_chart()
     c, s = np.cos(theta), np.sin(theta)
-    x2 = g.x * c - g.y * s
-    y2 = g.x * s + g.y * c
-    zeta = g.z - g.x * g.y / 2.0
-    return GroupElement(x2, y2, x2 * y2 / 2.0 + zeta)
+    return ChartPoint(q.x * c - q.y * s, q.x * s + q.y * c, q.zeta).to_group()
 
 
 def splitting_isometry(p: SurfacePoint, c: CenterElement) -> GroupElement:
     """The product-to-group isometry (p, t) -> (x, y, xy/2 + t)."""
-    return GroupElement(p.x, p.y, p.x * p.y / 2.0 + c.t)
+    return ChartPoint(p.x, p.y, c.t).to_group()
 
 
 def splitting_isometry_inverse(g: GroupElement) -> tuple[SurfacePoint, CenterElement]:
-    return SurfacePoint(g.x, g.y), CenterElement(g.z - g.x * g.y / 2.0)
+    q = g.to_chart()
+    return SurfacePoint(q.x, q.y), CenterElement(q.zeta)
 
 
 def warp_g(r):
@@ -201,11 +205,14 @@ def conformal_radius(r):
 
 
 def geodesic_circle_curvature(r):
-    """Inward curvature g'(r)/g(r) of the geodesic circle of radius r > 0."""
+    """Inward curvature g'/g = (2/r)(1 - 4/(8 + r^2)) of the geodesic circle of radius r > 0.
+
+    Formed without r^2, so that it stays finite where r^2 overflows.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise ValueError("geodesic circles need r > 0")
-    out = 2.0 * (4.0 + r * r) / (r * (8.0 + r * r))
+    out = 2.0 / r * (1.0 - (2.0 / np.hypot(math.sqrt(8.0), r)) ** 2)
     return float(out) if r.ndim == 0 else out
 
 
@@ -220,14 +227,10 @@ def orbit_circumference(r: float, tol: float = 1e-12) -> float:
     """
     from .radial import _quadrature  # radial imports this module
 
-    if not 0 <= r < math.inf:
-        raise ValueError("orbit radius must be finite and nonnegative")
-    rho = r / SQRT2
-
-    def speed(phi):
-        x, y = rho * np.cos(phi), rho * np.sin(phi)
-        tang = np.stack([-y, x, np.zeros_like(x)], axis=-1)
-        gram = metric_closed_form(ChartPoint(x, y, 0.0)).matrix()
+    def speed(phi):  # `PolarCoord` refuses a negative or non-finite r at the first call
+        p = PolarCoord(r, phi).to_surface_point()
+        tang = np.stack([-p.y, p.x, np.zeros_like(p.x)], axis=-1)
+        gram = metric_closed_form(p.to_chart()).matrix()
         return np.sqrt(np.einsum("...i,...ij,...j->...", tang, gram, tang))
 
     return float(_quadrature(speed, [0.0, 2.0 * math.pi], tol, "orbit circumference")[-1])

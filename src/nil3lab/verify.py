@@ -152,9 +152,9 @@ def mean_curvature_residual(surf: SurfaceSample, at):
 def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
     """Embed a solver field (fiber arc-length units) as a graph patch.
 
-    The arc-length height converts back to the chart zeta offset by dividing
-    by sqrt(2); the angular direction is padded periodically so the spline
-    interpolant is smooth across the seam.
+    Heights convert to chart zeta offsets by `CenterElement.from_arc_length`;
+    the angular direction is padded periodically so the spline interpolant is
+    smooth across the seam.  A stencil node at r < 0 raises ValueError.
     """
     from scipy.interpolate import RectBivariateSpline
 
@@ -166,11 +166,11 @@ def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
         [theta[-pad:] - 2.0 * math.pi, theta, theta[:pad] + 2.0 * math.pi]
     )
     u_ext = np.concatenate([u[:, -pad:], u, u[:, :pad]], axis=1)
-    spline = RectBivariateSpline(r, th_ext, u_ext / SQRT2, kx=3, ky=3)
+    spline = RectBivariateSpline(r, th_ext, sf.CenterElement.from_arc_length(u_ext).t, kx=3, ky=3)
 
     def chart_map(rr, tt):
-        rho = rr / SQRT2
-        return rho * np.cos(tt), rho * np.sin(tt), spline(rr, tt, grid=False)
+        p = sf.PolarCoord(rr, tt).to_surface_point()
+        return p.x, p.y, spline(rr, tt, grid=False)
 
     return SurfaceSample(chart_map, r.copy(), theta.copy(), fd_step=1e-4, periodic_v=True)
 
@@ -201,7 +201,7 @@ def catenoid_sample(
     # the ring heights come from one cumulative profile pass; an off-ring
     # parameter (a finite-difference stencil) takes one quadrature of its own
     rings = catenoid_profile(params, t_grid, tol)
-    heights = dict(zip(t_grid.tolist(), (rings.value / SQRT2).tolist()))
+    heights = dict(zip(t_grid.tolist(), sf.CenterElement.from_arc_length(rings.value).t.tolist()))
 
     def height(tt):
         ts = np.asarray(tt, dtype=float)
@@ -211,8 +211,8 @@ def catenoid_sample(
         return np.array([heights[t] for t in flat]).reshape(ts.shape)
 
     def chart_map(tt, phi):
-        rho = tt / SQRT2
-        return rho * np.cos(phi), rho * np.sin(phi), height(tt)
+        p = sf.PolarCoord(tt, phi).to_surface_point()
+        return p.x, p.y, height(tt)
 
     return SurfaceSample(chart_map, t_grid, th_grid, fd_step=fd_step, periodic_v=True)
 
@@ -323,7 +323,7 @@ def _check_circle_action(tol, rng):
     x, y, ang, zc = rng.uniform([-4.0, -4.0, 0.0, -5.0], [4.0, 4.0, 2.0 * math.pi, 5.0],
                                 size=(40, 4)).T
     img = sf.circle_action(ang, sf.SurfacePoint(x, y).to_group())
-    worst_zeta = np.max(np.abs(img.z - img.x * img.y / 2.0))
+    worst_zeta = np.max(np.abs(img.to_chart().zeta))
     imgc = sf.circle_action(ang, GroupElement(0.0, 0.0, zc))
     worst_center = np.max(np.abs([imgc.x, imgc.y, imgc.z - zc]))
     ok = worst_iso <= tol and worst_zeta == 0.0 and worst_center == 0.0
@@ -370,10 +370,7 @@ def _check_radial_geodesics(tol_residual, tol_distance):
 
 def _check_curvature(tol):
     radii = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
-    pts = [sf.PolarCoord(r, 0.7).to_surface_point() for r in radii.tolist()]
-    k_fd = sf.gaussian_curvature_riemann(
-        sf.SurfacePoint(np.array([p.x for p in pts]), np.array([p.y for p in pts]))
-    )
+    k_fd = sf.gaussian_curvature_riemann(sf.PolarCoord(radii, 0.7).to_surface_point())
     worst = np.max(np.abs(k_fd - sf.curvature_from_warp(radii)))
     origin = sf.curvature_closed_forms(sf.SurfacePoint(0.0, 0.0))
     oracle_origin = sf.gaussian_curvature_riemann(sf.SurfacePoint(0.0, 0.0))

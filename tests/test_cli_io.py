@@ -278,6 +278,17 @@ def test_cli_barrier(capsys):
     assert "subsolution" in out
 
 
+def test_cli_barrier_at_radii_whose_squares_overflow(capsys):
+    # (r + alpha)^2 and r^2 overflow above r of about 1.3e154; the curvature
+    # bound and g'/g then take their limits instead of inf/inf
+    assert main(["barrier", "--rmax", "1e155", "--step", "1e154"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out and "inf" not in out
+    line = out.split("subsolution: min operator value ")[1]
+    op, margin = line.split(", min curvature-bound margin ")
+    assert np.isfinite(float(op)) and np.isfinite(float(margin))
+
+
 def test_cli_exterior_small(tmp_path, capsys):
     cfgfile = tmp_path / "solver.cfg"
     cfgfile.write_text("n_r = 48\nn_theta = 16\nbisection_tol = 1e-3\n")

@@ -787,6 +787,28 @@ def test_boundary_data_validation():
         sv.dirichlet_solve(grid, 0.0, 1.0, cfg, u0=np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("shape", ["disk", "annulus"])
+def test_callable_boundary_data_take_the_array_path(shape):
+    # a 0-d result is broadcast like scalar data; a result of the wrong
+    # shape is refused before the initial guess is built
+    cfg = small_cfg(n_r=24, n_theta=12)
+    if shape == "disk":
+        grid, inner, inner_fn = sv.AnnulusGrid.disk(4.0, 24, 12), None, None
+    else:
+        grid, inner, inner_fn = sv.AnnulusGrid.annulus(1.0, 4.0, 24, 12), 0.5, lambda th: 0.5
+    scalar = sv.dirichlet_solve(grid, inner, 1.0, cfg)
+    called = sv.dirichlet_solve(grid, inner_fn, lambda th: 1.0, cfg)
+    assert np.array_equal(called, scalar)
+    with pytest.raises(ValueError, match="boundary array must match the angular nodes"):
+        sv.dirichlet_solve(grid, inner, lambda th: np.ones(3), cfg)
+    if shape == "annulus":
+        with pytest.raises(ValueError, match="boundary array must match the angular nodes"):
+            sv.dirichlet_solve(grid, lambda th: np.ones(3), 1.0, cfg)
+    else:
+        sol = sv.asymptotic_solve(lambda th: 0.7, cfg, radii=(8.0, 16.0))
+        assert all(np.all(u == 0.7) for u in sol.fields)
+
+
 # ---------------------------------------------------------------- boundary gradient
 
 

@@ -58,9 +58,51 @@ def test_polar_round_trip():
     q = pc.to_surface_point()
     assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-12
     assert pc.r == sf.distance_to_identity(p)
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
             sf.PolarCoord(bad, 0.0)
+        # one bad radius in an array is refused too, broadcast or not
+        r = np.linspace(0.0, 5.0, 8)
+        r[5] = bad
+        with pytest.raises(ValueError, match="polar radius"):
+            sf.PolarCoord(r, 0.3)
+        with pytest.raises(ValueError, match="polar radius"):
+            sf.PolarCoord(r[:, None], np.linspace(0.0, 6.0, 4))
+
+
+def test_polar_coord_broadcasts_like_its_scalar_form():
+    rng = np.random.default_rng(16)
+    r, th = rng.uniform(0.0, 9.0, 40), rng.uniform(-7.0, 7.0, 40)
+    r[0] = 0.0
+    many = sf.PolarCoord(r, th).to_surface_point()
+    back = sf.PolarCoord.from_surface_point(many)
+    ring = sf.PolarCoord(2.5, th).to_surface_point()  # one radius against many angles
+    for k in range(40):
+        one = sf.PolarCoord(float(r[k]), float(th[k])).to_surface_point()
+        assert (one.x, one.y) == (many.x[k], many.y[k])
+        pc = sf.PolarCoord.from_surface_point(one)
+        assert (pc.r, pc.theta_pol) == (back.r[k], back.theta_pol[k])
+        one = sf.PolarCoord(2.5, float(th[k])).to_surface_point()
+        assert (one.x, one.y) == (ring.x[k], ring.y[k])
+
+
+def test_chart_round_trips_on_arrays_keep_zeta():
+    # dyadic coordinates: x y / 2 and every sum of the splitting are exact
+    rng = np.random.default_rng(17)
+    x, y, zeta = rng.integers(-64, 65, size=(3, 200)) / 16.0
+    p, c = sf.splitting_isometry_inverse(
+        sf.splitting_isometry(sf.SurfacePoint(x, y), sf.CenterElement(zeta))
+    )
+    assert np.all(p.x == x) and np.all(p.y == y) and np.all(c.t == zeta)
+    # the image of the circle action is the rotated chart point at the same zeta
+    ang = rng.uniform(0.0, 2 * math.pi, 200)
+    g = ChartPoint(x, y, zeta).to_group()
+    assert np.all(g.to_chart().zeta == zeta)
+    img = sf.circle_action(ang, g)
+    c, s = np.cos(ang), np.sin(ang)
+    rotated = ChartPoint(x * c - y * s, x * s + y * c, zeta).to_group()
+    assert np.all(img.x == rotated.x) and np.all(img.y == rotated.y)
+    assert np.all(img.z == rotated.z)
 
 
 def test_circle_action_rotation_example():
@@ -194,6 +236,10 @@ def test_splitting_pullback_is_product_metric():
 
 def test_center_arc_length():
     assert sf.CenterElement(3.0).arc_length == pytest.approx(3 * SQRT2, abs=1e-15)
+    s = np.array([-2.0, 0.0, 3.0 * SQRT2])
+    c = sf.CenterElement.from_arc_length(s)
+    assert np.all(c.t == s / SQRT2) and c.t[2] == pytest.approx(3.0, abs=1e-15)
+    assert np.allclose(c.arc_length, s, rtol=0.0, atol=1e-15)
 
 
 def test_warp_values():

@@ -160,6 +160,15 @@ def test_graph_embed_flat_fields():
     assert abs(vf.mean_curvature_residual(lifted, (2.0, 0.9))) <= 5e-7
 
 
+def test_graph_embed_stencil_below_the_center_is_refused():
+    # a stencil node at r < 0 has no polar point; the spline is not extrapolated there
+    grid = sv.AnnulusGrid.disk(4.0, 24, 12)
+    sample = vf.graph_embed(np.zeros(grid.shape), grid)
+    assert abs(vf.mean_curvature_residual(sample, (2.0, 0.4))) <= 1e-9
+    with pytest.raises(ValueError, match="polar radius"):
+        vf.mean_curvature_residual(sample, (0.5 * sample.fd_step, 0.4))
+
+
 def test_graph_embed_radial_flux_profile():
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 96, 32, grading=1.0)
     prof = rd.radial_mse_solve(1.0, 4.0, 0.0, 1.0, nodes=grid.r)
