@@ -34,11 +34,11 @@ from .surface import (
 from .radial import (
     BarrierParams,
     CatenoidParams,
+    FluxGraph,
     NoAdmissibleFluxError,
     RadialProfile,
     barrier_f,
     catenoid_flux_check,
-    catenoid_height,
     radial_mse_solve,
     subsolution_check,
     t0_min,

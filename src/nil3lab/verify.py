@@ -39,9 +39,7 @@ from .nilcore import (
     metric_closed_form,
 )
 from . import surface as sf
-from .radial import CatenoidParams, catenoid_height, catenoid_profile, t0_min
-
-SQRT2 = math.sqrt(2.0)
+from .radial import CatenoidParams, FluxGraph, t0_min
 
 __all__ = [
     "SurfaceSample",
@@ -200,14 +198,15 @@ def catenoid_sample(
     th_grid = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     # the ring heights come from one cumulative profile pass; an off-ring
     # parameter (a finite-difference stencil) takes one quadrature of its own
-    rings = catenoid_profile(params, t_grid, tol)
-    heights = dict(zip(t_grid.tolist(), sf.CenterElement.from_arc_length(rings.value).t.tolist()))
+    graph, arc_tol = FluxGraph.catenoid(params), sf.CenterElement(tol).arc_length
+    rings = graph.profile(t_grid, arc_tol).value
+    heights = dict(zip(t_grid.tolist(), sf.CenterElement.from_arc_length(rings).t.tolist()))
 
     def height(tt):
         ts = np.asarray(tt, dtype=float)
         flat = ts.ravel().tolist()
         for t in set(flat).difference(heights):
-            heights[t] = catenoid_height(params, t, tol)
+            heights[t] = float(sf.CenterElement.from_arc_length(graph.heights([t], arc_tol)[0]).t)
         return np.array([heights[t] for t in flat]).reshape(ts.shape)
 
     def chart_map(tt, phi):
@@ -276,7 +275,7 @@ def _check_totally_geodesic(tol_ii, tol_zeta, rng):
     gamma = christoffel_from_metric(points.to_chart()).gamma  # one oracle call for both values
     worst_ii = np.max(np.abs(sf.second_fundamental_form_slice(points, gamma)))
     ang = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
-    vel = np.stack([np.cos(ang), np.sin(ang)], axis=-1) / SQRT2
+    vel = np.stack([np.cos(ang), np.sin(ang)], axis=-1) / sf.SQRT2
     gam_z = gamma[:, 2, :2, :2]
     worst_zeta = 0.5 * 10.0**2 * np.max(np.abs(np.einsum("pij,ai,aj->pa", gam_z, vel, vel)))
     ok = worst_ii <= tol_ii and worst_zeta <= tol_zeta

@@ -22,13 +22,15 @@ def test_slice_mesh_counts():
 
 def test_periodic_mesh_seam_identified(monkeypatch):
     params = rd.CatenoidParams(3.0, 1.0)
-    heights, profiles = [], []
-    monkeypatch.setattr(vf, "catenoid_height", lambda *a: heights.append(a) or rd.catenoid_height(*a))
-    monkeypatch.setattr(vf, "catenoid_profile", lambda *a: profiles.append(a) or rd.catenoid_profile(*a))
+    calls = []
+    heights = rd.FluxGraph.heights
+    monkeypatch.setattr(rd.FluxGraph, "heights",
+                        lambda graph, r, tol: calls.append(list(r)) or heights(graph, r, tol))
     sample = vf.catenoid_sample(params, 4.0, n_t=8, n_theta=12)
     verts, faces = meshio.surface_mesh(sample)
+    monkeypatch.undo()
     # the ring heights come from one profile pass, not one quadrature per ring
-    assert len(profiles) == 1 and heights == []
+    assert calls == [sample.u_grid.tolist()]
     ring_heights = rd.catenoid_profile(params, sample.u_grid, 1e-13).value / np.sqrt(2.0)
     offsets = verts[:, 2] - verts[:, 0] * verts[:, 1] / 2.0
     assert np.max(np.abs(offsets - np.repeat(ring_heights, 12))) <= 1e-15
@@ -477,11 +479,11 @@ print(scipy_loaded())
 solver.asymptotic_solve(surface.BoundaryData.cosine(1.0),
                         solver.SolverConfig(n_r=33, n_theta=16), radii=(8.0,))
 print(scipy_loaded())
-radial.flux_height_difference(1.0, 1.0, 2.0)
-attain = radial.flux_height_difference(surface.warp_g(1.0), 1.0, 2.0)
+radial.FluxGraph(1.0, 1.0, surface.warp_g(1.0) ** 2 - 1.0).heights([2.0], 1e-12)
+attain = radial.FluxGraph(surface.warp_g(1.0), 1.0, 0.0).heights([2.0], 1e-12)[0]
 prof = radial.radial_mse_solve(1.0, 2.0, 0.0, 0.5 * attain)
 assert 0 < prof.flux < surface.warp_g(1.0)  # the root-find ran
-radial.catenoid_height(radial.CatenoidParams(3.0, 1.0), 2.0)
+radial.catenoid_profile(radial.CatenoidParams(3.0, 1.0), [1.0, 2.0])
 surface.orbit_circumference(2.0)
 sol = solver.exterior_solve(1.0, 2.0, solver.SolverConfig(n_r=33, n_theta=16, schedule=(4.0, 32.0)))
 verify.run_claim_checks()

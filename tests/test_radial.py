@@ -5,12 +5,29 @@ import pytest
 
 from nil3lab import radial as rd
 from nil3lab.solver import AnnulusGrid
-from nil3lab.surface import orbit_circumference, warp_g
+from nil3lab.surface import CenterElement, geodesic_circle_curvature, orbit_circumference, warp_g
 
 SQRT2 = math.sqrt(2.0)
 # 1.3e-10 below the extremal flux g(1): over [1, 4] the flux integrand climbs
 # to its plateau within xi* = 1.1e-5 of 0, between quad's outermost nodes
 NEAR_EXTREMAL_C = 1.0606601716466686
+
+
+def _flux_graph(c, r_in):
+    """The flux-c graph from r_in, its neck gap formed as (g - c)(g + c)."""
+    g = warp_g(r_in)
+    return rd.FluxGraph(c, r_in, (g - c) * (g + c))
+
+
+def _rise(c, r_in, r_out, tol=1e-12):
+    """Height gain of the flux-c graph from r_in over [r_in, r_out]."""
+    return _flux_graph(c, r_in).heights([r_out], tol)[0]
+
+
+def _chart_offset(params, t, tol=1e-10):
+    """Chart offset of the catenoid at radius t, tol bounding chart offsets."""
+    height = rd.FluxGraph.catenoid(params).heights([t], CenterElement(tol).arc_length)[0]
+    return float(CenterElement.from_arc_length(height).t)
 
 
 def _gauss_panels(fn, edges, n=20):
@@ -54,19 +71,19 @@ def test_catenoid_params_reject_non_finite(c, t0):
 
 def test_catenoid_height_at_neck_and_monotone():
     params = rd.CatenoidParams(3.0, 1.0)
-    assert rd.catenoid_height(params, 1.0) == 0.0
-    heights = [rd.catenoid_height(params, t) for t in (1.5, 2.0, 3.0, 5.0, 9.0)]
+    assert _chart_offset(params, 1.0) == 0.0
+    heights = [_chart_offset(params, t) for t in (1.5, 2.0, 3.0, 5.0, 9.0)]
     assert all(h > 0 for h in heights)
     assert all(b > a for a, b in zip(heights, heights[1:]))
-    with pytest.raises(ValueError):
-        rd.catenoid_height(params, 0.5)
+    with pytest.raises(ValueError, match="below the neck"):
+        _chart_offset(params, 0.5)
 
 
 def test_catenoid_height_observed_plateau():
     # defining integrand decays like c/(sqrt(2) s^2): the half-height levels off
     params = rd.CatenoidParams(3.0, 1.0)
     gaps = [
-        rd.catenoid_height(params, 2 * t) - rd.catenoid_height(params, t)
+        _chart_offset(params, 2 * t) - _chart_offset(params, t)
         for t in (5.0, 10.0, 20.0)
     ]
     assert all(g > 0 for g in gaps)
@@ -85,12 +102,12 @@ def test_catenoid_height_observed_plateau():
 )
 def test_catenoid_height_reference_values(c, t0, t, ref):
     # chart offsets from a 45-digit quadrature, at the minimal neck and off it
-    assert abs(rd.catenoid_height(rd.CatenoidParams(c, t0), t, tol=1e-12) - ref) <= 1e-12
+    assert abs(_chart_offset(rd.CatenoidParams(c, t0), t, tol=1e-12) - ref) <= 1e-12
 
 
 def test_catenoid_height_unreachable_tolerance_raises():
     with pytest.raises(rd.QuadratureError):
-        rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 3.0, tol=1e-17)
+        _chart_offset(rd.CatenoidParams(3.0, 1.0), 3.0, tol=1e-17)
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
@@ -98,7 +115,7 @@ def test_catenoid_height_just_above_the_minimal_neck(tol):
     # the neck gap is 2.5e-10, so the integrand climbs within xi* = 1e-5 of
     # the neck; a quadrature that stepped over that ramp returned the
     # minimal-neck height 1.3876212056157
-    height = rd.catenoid_height(rd.CatenoidParams(3.0, 1.0000000001), 6.0, tol=tol)
+    height = _chart_offset(rd.CatenoidParams(3.0, 1.0000000001), 6.0, tol=tol)
     assert abs(height - 1.387611718782270286) <= 1e-12
 
 
@@ -126,7 +143,7 @@ def test_catenoid_degenerate_small_flux():
     params = rd.CatenoidParams(c, rd.t0_min(c))
     flux = rd.catenoid_flux_check(params, 1.0)
     assert abs(flux - c / (2 * SQRT2)) <= 1e-8
-    assert rd.catenoid_height(params, 2.0) < 1e-2  # nearly flat plane
+    assert _chart_offset(params, 2.0) < 1e-2  # nearly flat plane
 
 
 def test_barrier_normalization():
@@ -231,6 +248,20 @@ def test_subsolution_property():
         rd.subsolution_check(params, 2.0, grid)  # alpha must equal r0
 
 
+def test_subsolution_margin_in_closed_form():
+    # the margin g'/g - 2(r - alpha)/((r + alpha)^2 + 8) taken as that
+    # difference cancels from r of about 1e8 on: at r = 1e20 it was exactly 0,
+    # and the report refused a true subsolution
+    r = np.geomspace(0.1, 1e3, 81)
+    for alpha in (0.5, 1.0, 2.0):
+        report = rd.subsolution_check(rd.BarrierParams(1.0, alpha), alpha, r)
+        diff = geodesic_circle_curvature(r + alpha) - 2.0 * (r - alpha) / ((r + alpha) ** 2 + 8.0)
+        assert np.max(np.abs(report.bound_margin / diff - 1.0)) <= 1e-12
+    for rmax in (1e20, 1e100):
+        report = rd.subsolution_check(rd.BarrierParams(1.0, 1.0), 1.0, np.arange(1, 11) * rmax / 10)
+        assert report.ok and report.min_margin > 0
+
+
 def test_radial_mse_solve_trivial():
     prof = rd.radial_mse_solve(1.0, 5.0, 0.0, 0.0)
     assert prof.flux == 0.0
@@ -240,10 +271,15 @@ def test_radial_mse_solve_trivial():
 
 
 def test_radial_mse_solve_catenoid_round_trip():
-    params = rd.CatenoidParams(3.0, 1.0)
-    u_out = SQRT2 * rd.catenoid_height(params, 4.0, tol=1e-13)
-    prof = rd.radial_mse_solve(1.0, 4.0, 0.0, u_out, tol=1e-10)
-    assert abs(prof.flux - 3.0 / (2.0 * SQRT2)) <= 1e-8
+    # solving the catenoid's own boundary heights on [t0, 4] returns its
+    # flux and its heights, at the minimal neck (the extremal flux) and off it
+    for t0 in (1.0, 2.0):
+        graph = rd.FluxGraph.catenoid(rd.CatenoidParams(3.0, t0))
+        u_out = graph.heights([4.0], 1e-13)[0]
+        prof = rd.radial_mse_solve(t0, 4.0, 0.0, u_out, tol=1e-10)
+        assert abs(prof.flux - 3.0 / (2.0 * SQRT2)) <= 1e-8
+        assert abs(prof.flux - graph.flux) <= 1e-12 * graph.flux
+        assert np.max(np.abs(prof.value - graph.heights(prof.r, 1e-13))) <= 1e-10
 
 
 def test_radial_mse_solve_antisymmetry():
@@ -267,7 +303,7 @@ def test_radial_mse_solve_boundary_residual():
 
 
 def test_radial_mse_solve_no_admissible_flux():
-    attainable = rd.flux_height_difference(warp_g(1.0), 1.0, 4.0)
+    attainable = _rise(warp_g(1.0), 1.0, 4.0)
     with pytest.raises(rd.NoAdmissibleFluxError) as excinfo:
         rd.radial_mse_solve(1.0, 4.0, 0.0, attainable + 0.5)
     assert excinfo.value.attainable == pytest.approx(attainable, abs=1e-9)
@@ -292,7 +328,7 @@ def test_gauss_legendre_rule_matches_numpy(n):
 def test_flux_height_near_the_extremal_flux():
     # the exact value is from a 40-digit quadrature; quad over the whole
     # range gave 1.7456649088741 with an error estimate below 1e-12
-    height = rd.flux_height_difference(NEAR_EXTREMAL_C, 1.0, 4.0, 1e-12)
+    height = _rise(NEAR_EXTREMAL_C, 1.0, 4.0, 1e-12)
     assert abs(height - 1.7456506480588) <= 1e-9
 
 
@@ -303,11 +339,12 @@ def test_flux_height_resolves_the_ramp_at_any_width(share):
     hi = math.sqrt(3.0)
     g = warp_g(1.0)
     c = math.sqrt(g**2 - 2.5 * (share * hi) ** 2)
-    integrand, ramp = rd._flux_integrand_factory(c, 1.0, (g - c) * (g + c))
+    graph = _flux_graph(c, 1.0)
+    ramp = graph.ramp
     assert ramp == pytest.approx(share * hi, rel=1e-2)  # c is rounded to a float
     cuts = ramp / 64.0 * 2.0 ** np.arange(math.ceil(math.log2(64.0 * hi / ramp)))
-    ref = _gauss_panels(lambda xi: 2.0 * xi * integrand(xi), np.concatenate([[0.0], cuts, [hi]]))
-    assert abs(rd.flux_height_difference(c, 1.0, 4.0, 1e-12) - ref) <= 1e-12
+    ref = _gauss_panels(lambda xi: 2.0 * xi * graph._slope(xi), np.concatenate([[0.0], cuts, [hi]]))
+    assert abs(graph.heights([4.0], 1e-12)[0] - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("share, n_r", [
@@ -322,8 +359,8 @@ def test_cumulative_heights_match_the_flux_integral_on_the_exterior_grid(share, 
     # boundary gradient s (the ids), and a flux near the extremal one
     nodes = AnnulusGrid.annulus(1.0, 32.0, n_r, 64, 2.0).r
     c = share * warp_g(1.0)
-    prof = rd.radial_mse_solve(1.0, 32.0, 0.0, rd.flux_height_difference(c, 1.0, 32.0), nodes=nodes)
-    heights = [rd.flux_height_difference(prof.flux, 1.0, r) for r in nodes[1:]]
+    prof = rd.radial_mse_solve(1.0, 32.0, 0.0, _rise(c, 1.0, 32.0), nodes=nodes)
+    heights = [_rise(prof.flux, 1.0, r) for r in nodes[1:]]
     assert np.max(np.abs(prof.value[1:] - heights)) <= 1e-12
 
 
@@ -339,14 +376,15 @@ def test_flux_heights_match_scipy_quad_up_to_the_extremal_flux(r_in):
         hi = math.sqrt(r_out - r_in)
         for share in (0.0, 1e-6, 0.5, 0.9, 1 - 1e-6, 1 - 1e-10, 1.0):
             c = share * g
-            integrand, ramp = rd._flux_integrand_factory(c, r_in, (g - c) * (g + c))
+            graph = _flux_graph(c, r_in)
+            integrand, ramp = graph._slope, graph.ramp
             points = None
             if 0 < ramp < hi / 64.0:
                 points = hi / 4.0 ** np.arange(1, math.ceil(math.log(hi / ramp, 4.0)))
             for tol in (1e-12, 1e-10):
                 ref, _ = quad(lambda xi: 2.0 * xi * integrand(xi), 0.0, hi, epsabs=0.25 * tol,
                               epsrel=1e-13, limit=300, points=points)
-                height = rd.flux_height_difference(c, r_in, r_out, tol)
+                height = graph.heights([r_out], tol)[0]
                 assert abs(height - ref) <= max(tol, 1e-13 * abs(ref)), (r_out, share, tol)
 
 
@@ -367,29 +405,27 @@ def test_adaptive_rule_reports_a_cap_as_a_quadrature_error():
 def test_profile_heights_match_the_interval_by_interval_loop(case, monkeypatch):
     if case == "exterior":
         r_out, nodes = 32.0, AnnulusGrid.annulus(1.0, 32.0, 256, 64, 2.0).r
-        u_out = rd.flux_height_difference(warp_g(1.0) / SQRT2, 1.0, r_out)
+        u_out = _rise(warp_g(1.0) / SQRT2, 1.0, r_out)
     else:
         r_out, nodes = 4.0, AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
-        u_out = (1.0 - 1e-6) * rd.flux_height_difference(warp_g(1.0), 1.0, r_out)
+        u_out = (1.0 - 1e-6) * _rise(warp_g(1.0), 1.0, r_out)
     xi = np.sqrt(nodes - 1.0)
-    quad_edges, fluxes = [], []
-    quad, factory = rd._flux_quad, rd._flux_integrand_factory
-    monkeypatch.setattr(rd, "_flux_quad", lambda fn, ramp, edges, tol:
-                        quad_edges.append(list(edges)) or quad(fn, ramp, edges, tol))
-    monkeypatch.setattr(rd, "_flux_integrand_factory", lambda *a: fluxes.append(a) or factory(*a))
+    calls = []
+    heights = rd.FluxGraph.heights
+    monkeypatch.setattr(rd.FluxGraph, "heights", lambda graph, r, tol:
+                        calls.append((graph, list(r))) or heights(graph, r, tol))
     prof = rd.radial_mse_solve(1.0, r_out, 0.0, u_out, nodes=nodes)
     monkeypatch.undo()
     # the root-find integrates each trial flux over the whole range, and the
     # profile is one more quadrature over all the nodes
-    *root_find, profile = quad_edges
-    assert root_find == [[0.0, math.sqrt(r_out - 1.0)]] * len(root_find)
+    *root_find, (graph, profile) = calls
+    assert [radii for _, radii in root_find] == [[r_out]] * len(root_find)
     assert len(root_find) <= 8
-    assert profile == xi.tolist()
+    assert profile == nodes.tolist()
     assert prof.bc_residual <= 1e-10
     # the interval-by-interval loop the one quadrature replaces, for the flux
     # and neck gap of the profile
-    integrand, ramp = rd._flux_integrand_factory(*fluxes[-1])
-    loop = np.cumsum([rd._flux_quad(integrand, ramp, pair, 1e-12)[-1] for pair in zip(xi, xi[1:])])
+    loop = np.cumsum([graph._quad(pair, 1e-12)[-1] for pair in zip(xi, xi[1:])])
     assert np.max(np.abs(prof.value[1:] - loop)) <= 1e-15
 
 
@@ -405,10 +441,10 @@ def test_radial_mse_solve_refuses_non_finite_boundary_heights(side, value):
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 @pytest.mark.parametrize("call", [
-    lambda x: rd.flux_height_difference(0.5, 1.0, x),
-    lambda x: rd.flux_height_difference(0.5, x, 3.0),
+    lambda x: _flux_graph(0.5, 1.0).heights([x], 1e-12),
+    lambda x: rd.FluxGraph(0.5, x, 1.0),
     lambda x: rd.radial_mse_solve(1.0, x, 0.0, 1.0),
-    lambda x: rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), x),
+    lambda x: rd.FluxGraph.catenoid(rd.CatenoidParams(3.0, 1.0)).heights([x], 1e-10),
     lambda x: rd.catenoid_profile(rd.CatenoidParams(3.0, 1.0), [1.0, x, 3.0]),
     lambda x: rd.radial_mse_solve(1.0, 3.0, 0.0, 1.0, nodes=[1.0, x, 3.0]),
     lambda x: orbit_circumference(x),
@@ -427,7 +463,7 @@ def test_radial_mse_solve_meets_targets_up_to_the_attainable_height(share):
     # a root-find on the flux c itself cannot resolve targets just below the
     # attainable height: one float step of c near g(1) moves the height by
     # about 1.8e-8 over [1, 4]
-    attain = rd.flux_height_difference(warp_g(1.0), 1.0, 4.0)
+    attain = _rise(warp_g(1.0), 1.0, 4.0)
     nodes = AnnulusGrid.annulus(1.0, 4.0, 64, 16, 2.0).r
     prof = rd.radial_mse_solve(1.0, 4.0, 0.0, share * attain, tol=1e-10, nodes=nodes)
     assert prof.bc_residual <= 1e-10
@@ -440,13 +476,13 @@ def test_quadrature_tolerance_must_be_finite_and_positive(tol):
     # then returned a profile ending at 1.549 instead of raising
     # NoAdmissibleFluxError
     with pytest.raises(ValueError, match="tol"):
-        rd.catenoid_height(rd.CatenoidParams(3.0, 1.0), 2.0, tol=tol)
+        _chart_offset(rd.CatenoidParams(3.0, 1.0), 2.0, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         rd.catenoid_profile(rd.CatenoidParams(3.0, 1.0), [1.0, 2.0, 3.0], tol=tol)
     with pytest.raises(ValueError, match="tol"):
         rd.radial_mse_solve(1.0, 3.0, 0.0, 50.0, tol=tol)
     with pytest.raises(ValueError, match="tol"):
-        rd.flux_height_difference(1.0, 1.0, 3.0, tol=tol)
+        _flux_graph(1.0, 1.0).heights([3.0], tol)
     with pytest.raises(ValueError, match="tol"):
         orbit_circumference(2.0, tol=tol)
 

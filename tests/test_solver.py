@@ -194,10 +194,11 @@ def test_cartesian_chart_cross_validation():
     # exact radial flux solution evaluated through the Cartesian-chart route:
     # residual at the nested-differencing truncation level
     prof = rd.radial_mse_solve(1.0, 5.0, 0.0, 1.0)
-    c = prof.flux
+    c, g = prof.flux, sv.warp_g(1.0)
+    graph = rd.FluxGraph(c, 1.0, (g - c) * (g + c))
 
     def height(x, y):
-        return rd.flux_height_difference(c, 1.0, SQRT2 * math.hypot(x, y))
+        return graph.heights([SQRT2 * math.hypot(x, y)], 1e-12)[0]
 
     for x, y in ((1.2, 0.7), (-0.9, 1.5), (2.0, -2.0)):
         assert abs(sv.cartesian_operator_residual(height, x, y)) <= 1e-5
@@ -514,7 +515,7 @@ def test_default_guess_is_the_discrete_radial_solution(r_in, r_out, n_r, grading
     # g_0, where g - c keeps its digits only as (g - g_0) + (g_0 - c)
     grid = sv.AnnulusGrid.annulus(r_in, r_out, n_r, 8, grading)
     zeros = np.zeros(8)
-    attain = rd.flux_height_difference(sv.warp_g(r_in), r_in, r_out)
+    attain = rd.FluxGraph(sv.warp_g(r_in), r_in, 0.0).heights([r_out], 1e-12)[0]
     for share in (1e-8, 0.01, 0.5, 0.99, 1.0, 2.0):
         delta = share * attain
         u = sv._default_guess(grid, zeros, np.full(8, delta))
@@ -571,7 +572,7 @@ def test_graded_annulus_at_half_the_attainable_height_converges():
     # root); one damped step converges from it where the solve once
     # stagnated at 1.446e-10
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 256, 8, 3.0)
-    half = 0.5 * rd.flux_height_difference(sv.warp_g(1.0), 1.0, 4.0)
+    half = 0.5 * rd.FluxGraph(sv.warp_g(1.0), 1.0, 0.0).heights([4.0], 1e-12)[0]
     u = sv.dirichlet_solve(grid, 0.0, half, small_cfg())
     assert np.max(np.abs(sv.mse_operator(u, grid))) <= small_cfg().newton_tol
 

@@ -62,7 +62,9 @@ def test_catenoid_heights_do_not_depend_on_the_batch():
     alone = [vf.catenoid_sample(params, 6.0).chart_map(x, 0.0)[2] for x in t.tolist()]
     together = vf.catenoid_sample(params, 6.0).chart_map(t, 0.0)[2]
     assert np.array_equal(together, alone)
-    assert together.tolist() == [rd.catenoid_height(params, x, 1e-13) for x in t.tolist()]
+    graph, tol = rd.FluxGraph.catenoid(params), sf.CenterElement(1e-13).arc_length
+    offsets = [sf.CenterElement.from_arc_length(graph.heights([x], tol)[0]).t for x in t.tolist()]
+    assert together.tolist() == offsets
 
 
 def test_catenoid_third_coordinate_readings():
@@ -71,11 +73,12 @@ def test_catenoid_third_coordinate_readings():
     # surface with mean curvature bounded away from zero
     params = rd.CatenoidParams(3.0, 1.0)
     good = vf.catenoid_sample(params, 5.0, fd_step=2e-4)
+    graph, tol = rd.FluxGraph.catenoid(params), sf.CenterElement(1e-12).arc_length
 
     def matrix_entry_chart(t, phi):
         rho = t / SQRT2
         x, y = rho * math.cos(phi), rho * math.sin(phi)
-        zeta = rd.catenoid_height(params, t, 1e-12) - x * y / 2.0
+        zeta = sf.CenterElement.from_arc_length(graph.heights([t], tol)[0]).t - x * y / 2.0
         return (x, y, zeta)
 
     bad = vf.SurfaceSample(
