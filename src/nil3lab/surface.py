@@ -7,9 +7,9 @@ dr^2 + g(r)^2 dtheta^2, and two independent curvature computations.
 
 Each convention of the splitting has one home: the graph chart zeta = z - xy/2
 in `nilcore.ChartPoint`/`GroupElement`, the polar map (x, y) = r/sqrt(2) (cos, sin)
-in `PolarCoord`, and the sqrt(2) arc-length factor of center heights (<Z, Z> = 2),
-in which the solver stores heights, in `CenterElement`.  The point maps,
-`PolarCoord` and `second_fundamental_form_slice` broadcast over numpy arrays.
+and its jet in `PolarCoord`, and the sqrt(2) arc-length factor of center heights
+(<Z, Z> = 2), in which the solver stores heights, in `CenterElement`.  The point
+maps, `PolarCoord` and `second_fundamental_form_slice` broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ class PolarCoord:
     def to_surface_point(self) -> SurfacePoint:
         rho = self.r / SQRT2
         return SurfacePoint(rho * np.cos(self.theta_pol), rho * np.sin(self.theta_pol))
+
+    def jet(self) -> tuple[SurfacePoint, ...]:
+        """The point, d_r (the point at r = 1), d_theta, d_rr, d_rtheta and d_thetatheta."""
+        p, d_r = self.to_surface_point(), PolarCoord(1.0, self.theta_pol).to_surface_point()
+        return (p, d_r, SurfacePoint(-p.y, p.x), SurfacePoint(0.0, 0.0),
+                SurfacePoint(-d_r.y, d_r.x), SurfacePoint(-p.x, -p.y))
 
     @staticmethod
     def from_surface_point(p: SurfacePoint) -> "PolarCoord":

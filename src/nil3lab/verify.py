@@ -1,7 +1,7 @@
 """Independent 3-D oracles and the consolidated claim report.
 
 `mean_curvature_residual` measures the mean curvature of any parametrized
-surface through the ambient connection and finite differences of the
+surface through the ambient connection and the exact jet of the
 parametrization only; it deliberately never touches the 2-D graph-operator
 code, so solver output can be validated against it without circularity.
 
@@ -65,58 +65,51 @@ class DegenerateImmersionError(ValueError):
 class SurfaceSample:
     """Parametrized surface patch: (u, v) -> chart coordinates (x, y, zeta).
 
-    chart_map takes broadcastable arrays u and v (or two floats) and returns
-    (x, y, zeta), each broadcastable to the shape of u and v together, so one
-    call samples any set of parameter points.  u_grid/v_grid are the sample
-    parameters (used by mesh export and batch residual sweeps); fd_step is the
-    finite-difference step of the curvature oracle; periodic_v marks a closed
-    v-direction (seam identified on export).
+    jet takes broadcastable arrays u and v (or two floats) and returns the
+    chart point and its derivatives d_u, d_v, d_uu, d_uv and d_vv, six
+    (..., 3) arrays of the broadcast shape, so one call samples any set of
+    parameter points.  u_grid/v_grid are the sample parameters (used by mesh
+    export and batch residual sweeps); periodic_v marks a closed v-direction
+    (seam identified on export).
     """
 
-    chart_map: "callable"
+    jet: "callable"
     u_grid: np.ndarray
     v_grid: np.ndarray
-    fd_step: float = 1e-4
     periodic_v: bool = False
 
     def points(self, u, v) -> np.ndarray:
-        """The chart map at the broadcast parameters (u, v) as one (..., 3) array."""
-        return np.stack(np.broadcast_arrays(*self.chart_map(u, v)), axis=-1).astype(float)
+        """The chart point at the broadcast parameters (u, v) as one (..., 3) array."""
+        return self.jet(u, v)[0]
+
+
+def _jet(*derivs) -> tuple:
+    """Six (x, y, zeta) triples of floats or arrays, broadcast into six (..., 3) arrays."""
+    out = np.empty((6, *np.broadcast_shapes(*(np.shape(c) for d in derivs for c in d)), 3))
+    for k, d in enumerate(derivs):
+        for i, c in enumerate(d):
+            out[k, ..., i] = c
+    return tuple(out)
+
+
+def _polar_graph_jet(r, theta, zeta) -> tuple:
+    """Jet of the graph (r, theta) -> (polar point, zeta), given the six derivatives of zeta."""
+    return _jet(*((p.x, p.y, z) for p, z in zip(sf.PolarCoord(r, theta).jet(), zeta)))
 
 
 def mean_curvature_residual(surf: SurfaceSample, at):
     """Mean curvature of the patch at the parameter points at, (2,) or (..., 2).
 
     Returns a float for one point (u, v), an array of shape (...) otherwise.
-    Second-order accurate: tangents and second derivatives come from central
-    finite differences of the parametrization, covariant derivatives from the
-    closed-form connection, and the unit normal from the coordinate cross
-    product paired with the inverse metric.  The chart map is called once for
-    each of the nine stencil nodes, on all the points at once; for one point
-    it is called with floats, so a chart map for one point at a time serves.
-    Raises DegenerateImmersionError if the first fundamental form is
-    degenerate (det <= 1e-10) at any point.
+    Tangents and second derivatives are the patch's jet at the points, read
+    in one call (with floats for one point, so a jet for one point at a time
+    serves); covariant derivatives come from the closed-form connection, and
+    the unit normal from the coordinate cross product paired with the
+    inverse metric.  Raises DegenerateImmersionError if the first
+    fundamental form is degenerate (det <= 1e-10, or nan) at any point.
     """
     u0, v0 = np.moveaxis(np.asarray(at, dtype=float), -1, 0)  # floats for one point
-    eps = surf.fd_step
-
-    pmap = surf.points
-    p00 = pmap(u0, v0)
-    p_pu = pmap(u0 + eps, v0)
-    p_mu = pmap(u0 - eps, v0)
-    p_pv = pmap(u0, v0 + eps)
-    p_mv = pmap(u0, v0 - eps)
-
-    tan_u = (p_pu - p_mu) / (2.0 * eps)
-    tan_v = (p_pv - p_mv) / (2.0 * eps)
-    duu = (p_pu - 2.0 * p00 + p_mu) / eps**2
-    dvv = (p_pv - 2.0 * p00 + p_mv) / eps**2
-    duv = (
-        pmap(u0 + eps, v0 + eps)
-        - pmap(u0 + eps, v0 - eps)
-        - pmap(u0 - eps, v0 + eps)
-        + pmap(u0 - eps, v0 - eps)
-    ) / (4.0 * eps**2)
+    p00, tan_u, tan_v, duu, duv, dvv = surf.jet(u0, v0)
 
     pt = ChartPoint(p00[..., 0], p00[..., 1], p00[..., 2])
     gm = metric_closed_form(pt).matrix()
@@ -126,7 +119,7 @@ def mean_curvature_residual(surf: SurfaceSample, at):
     f1 = np.einsum("...i,...ij,...j->...", tan_u, gm, tan_v)
     g1 = np.einsum("...i,...ij,...j->...", tan_v, gm, tan_v)
     det = e1 * g1 - f1 * f1
-    if np.any(det <= 1e-10):
+    if not np.all(det > 1e-10):  # nan where a jet is infinite
         raise DegenerateImmersionError(
             f"first fundamental form degenerate: det={np.min(det):.3g}"
         )
@@ -152,11 +145,17 @@ def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
 
     Heights convert to chart zeta offsets by `CenterElement.from_arc_length`;
     the angular direction is padded periodically so the spline interpolant is
-    smooth across the seam.  A stencil node at r < 0 raises ValueError.
+    smooth across the seam, and the jet reads the spline's derivatives.  A
+    field that does not match grid.shape or is not finite raises ValueError,
+    and so does a point whose r lies outside [grid.r[0], grid.r[-1]].
     """
     from scipy.interpolate import RectBivariateSpline
 
     u = np.asarray(u, dtype=float)
+    if u.shape != grid.shape:
+        raise ValueError(f"field of shape {u.shape} does not match the grid shape {grid.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("field values must be finite")
     r = grid.r
     theta = grid.theta
     pad = 4
@@ -166,18 +165,22 @@ def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
     u_ext = np.concatenate([u[:, -pad:], u, u[:, :pad]], axis=1)
     spline = RectBivariateSpline(r, th_ext, sf.CenterElement.from_arc_length(u_ext).t, kx=3, ky=3)
 
-    def chart_map(rr, tt):
-        p = sf.PolarCoord(rr, tt).to_surface_point()
-        return p.x, p.y, spline(rr, tt, grid=False)
+    def jet(rr, tt):
+        outside = np.asarray(rr)[~((rr >= r[0]) & (rr <= r[-1]))]
+        if outside.size:
+            raise ValueError(f"radius {outside[0]} lies outside the grid's [{r[0]}, {r[-1]}]")
+        orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        return _polar_graph_jet(rr, tt, [spline(rr, tt, dx=i, dy=j, grid=False) for i, j in orders])
 
-    return SurfaceSample(chart_map, r.copy(), theta.copy(), fd_step=1e-4, periodic_v=True)
+    return SurfaceSample(jet, r.copy(), theta.copy(), periodic_v=True)
 
 
 def slice_sample(extent: float = 3.0, n: int = 10, n_v: int | None = None) -> SurfaceSample:
     """The flat slice zeta = 0 over [-extent, extent]^2, n samples in u and n_v (default n) in v."""
     grid = np.linspace(-extent, extent, n)
     v_grid = np.linspace(-extent, extent, n if n_v is None else n_v)
-    return SurfaceSample(lambda uu, vv: (uu, vv, 0.0), grid, v_grid)
+    return SurfaceSample(lambda uu, vv: _jet((uu, vv, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                             *[(0.0, 0.0, 0.0)] * 3), grid, v_grid)
 
 
 def catenoid_sample(
@@ -186,18 +189,16 @@ def catenoid_sample(
     n_t: int = 40,
     n_theta: int = 64,
     tol: float = 1e-13,
-    fd_step: float = 2e-4,
 ) -> SurfaceSample:
     """Surface of rotation of the catenoid profile, parametrized by (t, angle).
 
     The n_t >= 2 rings run from the neck t0 to tmax > t0.  Every height is a
-    function of its own t, whatever else one chart call samples; a parameter
-    below the neck raises ValueError.
+    function of its own t, whatever else one jet call samples, and its
+    derivatives are exact; a parameter below the neck raises ValueError.
     """
     t_grid = np.linspace(params.t0, tmax, n_t)
     th_grid = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    # the ring heights come from one cumulative profile pass; an off-ring
-    # parameter (a finite-difference stencil) takes one quadrature of its own
+    # ring heights come from one cumulative profile pass, each off-ring t from its own quadrature
     graph, arc_tol = FluxGraph.catenoid(params), sf.CenterElement(tol).arc_length
     rings = graph.profile(t_grid, arc_tol).value
     heights = dict(zip(t_grid.tolist(), sf.CenterElement.from_arc_length(rings).t.tolist()))
@@ -209,11 +210,13 @@ def catenoid_sample(
             heights[t] = float(sf.CenterElement.from_arc_length(graph.heights([t], arc_tol)[0]).t)
         return np.array([heights[t] for t in flat]).reshape(ts.shape)
 
-    def chart_map(tt, phi):
-        p = sf.PolarCoord(tt, phi).to_surface_point()
-        return p.x, p.y, height(tt)
+    def jet(tt, phi):
+        zeta, slope = height(tt), graph.slopes(tt)
+        bend = -slope * (1.0 + slope * slope) * sf.geodesic_circle_curvature(tt)  # flux' = 0
+        d_t, d_tt = sf.CenterElement.from_arc_length(np.array([slope, bend])).t
+        return _polar_graph_jet(tt, phi, (zeta, d_t, 0.0, d_tt, 0.0, 0.0))
 
-    return SurfaceSample(chart_map, t_grid, th_grid, fd_step=fd_step, periodic_v=True)
+    return SurfaceSample(jet, t_grid, th_grid, periodic_v=True)
 
 
 @dataclass
@@ -395,7 +398,7 @@ def _check_catenoid(tol_neck, tol_curvature):
         for c in (0.1, 1.0, 3.0, 10.0, 100.0)
     )
     params = CatenoidParams(3.0, 1.0)
-    sample = catenoid_sample(params, 6.0, fd_step=2e-4)
+    sample = catenoid_sample(params, 6.0)
     t, phi = np.meshgrid(np.linspace(params.t0 + 0.1, 6.0, 10), (0.3, 2.1), indexing="ij")
     worst_h = np.max(np.abs(mean_curvature_residual(sample, np.stack([t, phi], axis=-1))))
     ok = neck_defect <= tol_neck and worst_h <= tol_curvature

@@ -59,7 +59,7 @@ def test_check_mesh_accepts_an_empty_face_array():
 
 def test_periodic_mesh_seam_faces_and_their_orientation():
     # n_u = 2, n_v = 3, closed in v: the seam joins column 2 back to column 0
-    sample = vf.SurfaceSample(lambda uu, vv: (uu, vv, 0.0), np.arange(2.0), np.arange(3.0),
+    sample = vf.SurfaceSample(vf.slice_sample().jet, np.arange(2.0), np.arange(3.0),
                               periodic_v=True)
     verts, faces = meshio.surface_mesh(sample)
     assert faces.tolist() == [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2], [2, 5, 3], [2, 3, 0]]
@@ -150,7 +150,8 @@ def test_catenoid_obj_has_the_format_template_bytes_and_reads_back_exactly(tmp_p
 
 def test_export_rejects_an_unknown_format_before_triangulating(tmp_path):
     calls = []
-    sample = vf.SurfaceSample(lambda uu, vv: calls.append(1) or (uu, vv, 0.0),
+    jet = vf.slice_sample().jet
+    sample = vf.SurfaceSample(lambda uu, vv: calls.append(1) or jet(uu, vv),
                               np.arange(3.0), np.arange(3.0))
     with pytest.raises(ValueError, match="unknown mesh format"):
         meshio.export_mesh(sample, tmp_path / "c.xyz", fmt="xyz")
@@ -204,9 +205,7 @@ def test_graph_mesh_with_residual_channel(tmp_path):
                           bisection_tol=1e-3)
     sol = sv.exterior_solve(0.4, 1.0, cfg)
     sample = vf.graph_embed(sol.u, sol.grid)
-    pad = 3 * sample.fd_step
-    r_lo, r_hi = sol.grid.r[0] + pad, sol.grid.r[-1] - pad
-    rr, th = np.meshgrid(np.clip(sol.grid.r, r_lo, r_hi), sol.grid.theta, indexing="ij")
+    rr, th = np.meshgrid(sol.grid.r, sol.grid.theta, indexing="ij")
     scalar = np.abs(vf.mean_curvature_residual(sample, np.stack([rr, th], axis=-1)))
     assert np.all(np.isfinite(scalar))
     path = tmp_path / "graph.ply"

@@ -13,6 +13,26 @@ from nil3lab.nilcore import ChartPoint, christoffel_closed_form, metric_closed_f
 SQRT2 = math.sqrt(2.0)
 
 
+def fd_sample(chart_map, h=1e-4):
+    """Reference patch (with empty sample grids): the central-difference jet of a chart map.
+
+    chart_map takes (u, v), floats or broadcastable arrays, and returns
+    (x, y, zeta); the jet differences it on the 9-node stencil of step h, so
+    its derivatives carry O(h^2) truncation and O(eps/h^2) roundoff.
+    """
+
+    def at(u, v):
+        return np.stack(np.broadcast_arrays(*chart_map(u, v)), axis=-1).astype(float)
+
+    def jet(u, v):
+        p, pu, mu, pv, mv = at(u, v), at(u + h, v), at(u - h, v), at(u, v + h), at(u, v - h)
+        duv = at(u + h, v + h) - at(u + h, v - h) - at(u - h, v + h) + at(u - h, v - h)
+        return (p, (pu - mu) / (2.0 * h), (pv - mv) / (2.0 * h), (pu - 2.0 * p + mu) / h**2,
+                duv / (4.0 * h * h), (pv - 2.0 * p + mv) / h**2)
+
+    return vf.SurfaceSample(jet, np.empty(0), np.empty(0))
+
+
 def test_slice_is_minimal_everywhere_sampled():
     sample = vf.slice_sample()
     for u in (-2.0, 0.0, 1.3):
@@ -21,7 +41,7 @@ def test_slice_is_minimal_everywhere_sampled():
 
 
 def test_vertical_translate_of_slice_is_minimal():
-    lifted = vf.SurfaceSample(lambda u, v: (u, v, 3.0 / SQRT2), np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+    lifted = fd_sample(lambda u, v: (u, v, 3.0 / SQRT2))
     for at in ((0.0, 0.0), (1.2, -0.8)):
         assert abs(vf.mean_curvature_residual(lifted, at)) <= 1e-9
 
@@ -29,38 +49,44 @@ def test_vertical_translate_of_slice_is_minimal():
 def test_cylinder_negative_control():
     # vertical cylinder over a non-geodesic base curve: residual bounded away from 0
     rho = SQRT2  # circle of geodesic radius 2
-    cyl = vf.SurfaceSample(
-        lambda u, v: (rho * math.cos(u), rho * math.sin(u), v),
-        np.linspace(0, 2 * math.pi, 10),
-        np.linspace(0, 1, 5),
-    )
+    cyl = fd_sample(lambda u, v: (rho * math.cos(u), rho * math.sin(u), v))
     assert abs(vf.mean_curvature_residual(cyl, (0.7, 0.3))) >= 0.1
 
 
 def test_catenoid_residual():
     params = rd.CatenoidParams(3.0, 1.0)
-    sample = vf.catenoid_sample(params, 10.0, fd_step=2e-4)
+    sample = vf.catenoid_sample(params, 10.0)
     t, phi = np.meshgrid(np.linspace(params.t0 + 0.1, 10.0, 10), (0.3, 2.1), indexing="ij")
     worst = np.max(np.abs(vf.mean_curvature_residual(sample, np.stack([t, phi], axis=-1))))
-    assert worst <= 1e-5
+    assert worst <= 1e-12
 
 
 def test_catenoid_below_the_neck_raises():
     params = rd.CatenoidParams(3.0, 1.0)
     sample = vf.catenoid_sample(params, 6.0)
     with pytest.raises(ValueError, match="below the neck"):
-        sample.chart_map(params.t0 - 1e-3, 0.0)
-    # one stencil across the neck among points well above it
-    at = np.array([[3.0, 0.2], [params.t0 + 1e-4, 0.2]])
+        sample.jet(params.t0 - 1e-3, 0.0)
+    # one point below the neck among points well above it
+    at = np.array([[3.0, 0.2], [params.t0 - 1e-4, 0.2]])
     with pytest.raises(ValueError, match="below the neck"):
         vf.mean_curvature_residual(sample, at)
+
+
+def test_catenoid_oracle_reaches_the_minimal_neck():
+    # the exact jet holds up to the neck, where u' is infinite and the
+    # parametrization stops being an immersion
+    params = rd.CatenoidParams(3.0, 1.0)  # t0 is the minimal neck of c = 3
+    sample = vf.catenoid_sample(params, 6.0)
+    assert abs(vf.mean_curvature_residual(sample, (params.t0 + 1e-9, 0.3))) <= 1e-12
+    with pytest.raises(vf.DegenerateImmersionError, match="det=nan"):
+        vf.mean_curvature_residual(sample, (params.t0, 0.3))
 
 
 def test_catenoid_heights_do_not_depend_on_the_batch():
     params = rd.CatenoidParams(3.0, 1.0)
     t = np.array([1.3, 2.05, 4.7])
-    alone = [vf.catenoid_sample(params, 6.0).chart_map(x, 0.0)[2] for x in t.tolist()]
-    together = vf.catenoid_sample(params, 6.0).chart_map(t, 0.0)[2]
+    alone = [vf.catenoid_sample(params, 6.0).points(x, 0.0)[2] for x in t.tolist()]
+    together = vf.catenoid_sample(params, 6.0).points(t, 0.0)[:, 2]
     assert np.array_equal(together, alone)
     graph, tol = rd.FluxGraph.catenoid(params), sf.CenterElement(1e-13).arc_length
     offsets = [sf.CenterElement.from_arc_length(graph.heights([x], tol)[0]).t for x in t.tolist()]
@@ -72,7 +98,7 @@ def test_catenoid_third_coordinate_readings():
     # coordinate as the raw matrix entry yields a non-rotationally-invariant
     # surface with mean curvature bounded away from zero
     params = rd.CatenoidParams(3.0, 1.0)
-    good = vf.catenoid_sample(params, 5.0, fd_step=2e-4)
+    good = vf.catenoid_sample(params, 5.0)
     graph, tol = rd.FluxGraph.catenoid(params), sf.CenterElement(1e-12).arc_length
 
     def matrix_entry_chart(t, phi):
@@ -81,20 +107,14 @@ def test_catenoid_third_coordinate_readings():
         zeta = sf.CenterElement.from_arc_length(graph.heights([t], tol)[0]).t - x * y / 2.0
         return (x, y, zeta)
 
-    bad = vf.SurfaceSample(
-        matrix_entry_chart,
-        np.linspace(1.0, 5.0, 8),
-        np.linspace(0, 2 * math.pi, 12, endpoint=False),
-        fd_step=2e-4,
-        periodic_v=True,
-    )
+    bad = fd_sample(matrix_entry_chart, h=2e-4)
     at = (2.5, 0.8)
-    assert abs(vf.mean_curvature_residual(good, at)) <= 1e-5
+    assert abs(vf.mean_curvature_residual(good, at)) <= 1e-12
     assert abs(vf.mean_curvature_residual(bad, at)) >= 1e-2
 
 
 def test_degenerate_immersion_raises():
-    flat = vf.SurfaceSample(lambda u, v: (u, u, 0.0), np.linspace(0, 1, 3), np.linspace(0, 1, 3))
+    flat = fd_sample(lambda u, v: (u, u, 0.0))
     with pytest.raises(vf.DegenerateImmersionError):
         vf.mean_curvature_residual(flat, (0.5, 0.5))
 
@@ -127,19 +147,61 @@ def test_batched_oracle_matches_per_point_calls(name):
     assert np.all(np.abs(batched - single) <= 1e-15 * np.abs(single)), (batched, single)
 
 
+@pytest.mark.parametrize("name", ["catenoid", "slice", "exterior graph"])
+def test_exact_jets_match_central_differences_at_second_order(name):
+    # each exact jet against the central-difference jet of its own points:
+    # the worst difference falls about 4 times as the step halves
+    rng = np.random.default_rng(11)
+    if name == "catenoid":
+        sample = vf.catenoid_sample(rd.CatenoidParams(3.0, 1.0), 6.0)
+        u = rng.uniform(1.5, 5.5, 6)
+    elif name == "slice":
+        sample = vf.slice_sample()
+        u = rng.uniform(-2.5, 2.5, 6)
+    else:
+        sample = _exterior_graph()
+        u = rng.uniform(1.2, 2.8, 6)
+    v = rng.uniform(0.0, 2 * math.pi, 6)
+    exact = np.stack(sample.jet(u, v))
+    chart_map = lambda uu, vv: np.moveaxis(sample.points(uu, vv), -1, 0)  # noqa: E731
+    errors = [np.max(np.abs(np.stack(fd_sample(chart_map, h=h).jet(u, v)) - exact))
+              for h in (4e-3, 2e-3)]
+    assert errors[1] <= 1e-10 or errors[1] <= errors[0] / 3.0, errors
+
+
+def test_one_mean_curvature_call_makes_one_jet_call():
+    sample = vf.catenoid_sample(rd.CatenoidParams(3.0, 1.0), 6.0)
+    calls = []
+    jet = sample.jet
+    sample.jet = lambda u, v: calls.append(np.shape(u)) or jet(u, v)
+    at = np.stack(np.meshgrid(np.linspace(1.5, 5.5, 7), (0.3, 2.1, 4.0), indexing="ij"), -1)
+    vf.mean_curvature_residual(sample, at)
+    assert calls == [(7, 3)]
+
+
+def test_catenoid_check_takes_one_quadrature_per_off_ring_height(monkeypatch):
+    # one profile pass for the rings, then one quadrature for each of the 9
+    # sample radii that is not a ring (the 10th, t = 6, is the outer ring)
+    calls = []
+    heights = rd.FluxGraph.heights
+    monkeypatch.setattr(rd.FluxGraph, "heights",
+                        lambda graph, r, tol: calls.append(len(r)) or heights(graph, r, tol))
+    report = vf._check_catenoid(1e-10, 1e-5)
+    assert calls == [40] + [1] * 9
+    assert report.values["max_mean_curvature"] <= 1e-12
+
+
 def test_one_point_gives_a_float_and_serves_a_scalar_chart_map():
     assert type(vf.mean_curvature_residual(vf.slice_sample(), (0.3, -0.2))) is float
     assert type(vf.mean_curvature_residual(vf.slice_sample(), np.array([0.3, -0.2]))) is float
-    # math.cos takes no array: the chart map sees floats for one point
-    cyl = vf.SurfaceSample(lambda u, v: (SQRT2 * math.cos(u), SQRT2 * math.sin(u), v),
-                           np.linspace(0, 2 * math.pi, 10), np.linspace(0, 1, 5))
+    # math.cos takes no array: the jet, and so the chart map, sees floats for one point
+    cyl = fd_sample(lambda u, v: (SQRT2 * math.cos(u), SQRT2 * math.sin(u), v))
     assert type(vf.mean_curvature_residual(cyl, (0.7, 0.3))) is float
 
 
 def test_one_degenerate_point_among_many_raises():
     # the v-tangent (0, u - 1/2, 0) vanishes on the line u = 1/2 only
-    sample = vf.SurfaceSample(lambda u, v: (u, v * (u - 0.5), 0.0 * u),
-                              np.linspace(0, 1, 5), np.linspace(0, 1, 5))
+    sample = fd_sample(lambda u, v: (u, v * (u - 0.5), 0.0 * u))
     u, v = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.2, 0.8, 4), indexing="ij")
     at = np.stack([u, v], axis=-1)
     assert np.all(np.abs(vf.mean_curvature_residual(sample, at[[0, 1, 3, 4]])) <= 1e-9)
@@ -150,26 +212,55 @@ def test_one_degenerate_point_among_many_raises():
 def test_graph_embed_flat_fields():
     grid = sv.AnnulusGrid.annulus(1.0, 4.0, 48, 16)
     zero = vf.graph_embed(np.zeros(grid.shape), grid)
-    x, y, zeta = zero.chart_map(2.0, 0.9)
+    x, y, zeta = zero.points(2.0, 0.9)
     assert abs(zeta) <= 1e-12
     assert abs(vf.mean_curvature_residual(zero, (2.0, 0.9))) <= 1e-9
 
     # constant arc-length height 3: vertical translate of the slice, still minimal
     lifted = vf.graph_embed(np.full(grid.shape, 3.0), grid)
-    _, _, zeta = lifted.chart_map(2.0, 0.9)
+    _, _, zeta = lifted.points(2.0, 0.9)
     assert zeta == pytest.approx(3.0 / SQRT2, abs=1e-12)
-    # spline evaluation jitter amplified by the 1/eps^2 differencing caps this
-    # at the roundoff floor, not at the analytic-translate level
-    assert abs(vf.mean_curvature_residual(lifted, (2.0, 0.9))) <= 5e-7
+    assert abs(vf.mean_curvature_residual(lifted, (2.0, 0.9))) <= 1e-12
 
 
 def test_graph_embed_stencil_below_the_center_is_refused():
-    # a stencil node at r < 0 has no polar point; the spline is not extrapolated there
+    # the spline is not extrapolated: a point below the innermost ring of a
+    # disk, at r < 0 included, or beyond the outer ring has no jet
     grid = sv.AnnulusGrid.disk(4.0, 24, 12)
     sample = vf.graph_embed(np.zeros(grid.shape), grid)
     assert abs(vf.mean_curvature_residual(sample, (2.0, 0.4))) <= 1e-9
-    with pytest.raises(ValueError, match="polar radius"):
-        vf.mean_curvature_residual(sample, (0.5 * sample.fd_step, 0.4))
+    assert abs(vf.mean_curvature_residual(sample, (grid.r[0], 0.4))) <= 1e-9
+    for r in (-1e-4, 0.5 * grid.r[0], 4.0 + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="outside the grid"):
+            sample.jet(r, 0.4)
+    with pytest.raises(ValueError, match=r"radius -0\.1 lies outside"):
+        vf.mean_curvature_residual(sample, np.array([[2.0, 0.4], [-0.1, 0.4]]))
+
+
+def test_graph_embed_refuses_a_field_of_the_wrong_shape():
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 24, 12)
+    with pytest.raises(ValueError, match=r"shape \(24, 11\) does not match the grid shape \(24, 12\)"):
+        vf.graph_embed(np.zeros((24, 11)), grid)
+
+
+def test_graph_embed_refuses_a_field_that_is_not_finite():
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 24, 12)
+    for bad in (math.nan, math.inf):
+        u = np.zeros(grid.shape)
+        u[5, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vf.graph_embed(u, grid)
+
+
+def test_graph_embed_refuses_a_radius_beyond_the_grid():
+    # an extrapolated zero field would answer 0.0 here
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 24, 12)
+    sample = vf.graph_embed(np.zeros(grid.shape), grid)
+    assert vf.mean_curvature_residual(sample, (4.0, 0.3)) == 0.0
+    with pytest.raises(ValueError, match="radius 10.0 lies outside the grid's"):
+        vf.mean_curvature_residual(sample, (10.0, 0.3))
+    with pytest.raises(ValueError, match="outside the grid"):
+        sample.points(np.array([1.0, 0.999]), 0.3)
 
 
 def test_graph_embed_radial_flux_profile():
@@ -179,6 +270,22 @@ def test_graph_embed_radial_flux_profile():
     t, phi = np.meshgrid(np.linspace(1.4, 3.6, 8), (0.5, 2.7), indexing="ij")
     worst = np.max(np.abs(vf.mean_curvature_residual(sample, np.stack([t, phi], axis=-1))))
     assert worst <= 1e-4
+
+
+def test_exterior_graph_mean_curvature_falls_at_second_order():
+    # sup |H| of the exterior graph (s = 1, r0 = 1, R = 8) under grid
+    # refinement: the 3-D oracle reads the solver's O(h^2) error.  |H| peaks
+    # at the spline's knots and changes sign between them, so the fixed
+    # points are finer than the finest grid (spacing 0.0025 against 0.03)
+    points = np.stack(np.meshgrid(np.linspace(1.5, 6.0, 1801), (0.3, 1.9, 4.0), indexing="ij"), -1)
+    sup_h = []
+    for n_r, n_theta in ((32, 16), (64, 32), (128, 64)):
+        cfg = sv.SolverConfig(n_r=n_r, n_theta=n_theta, schedule=(8.0,))
+        sol = sv.exterior_solve(1.0, 1.0, cfg)
+        sample = vf.graph_embed(sol.u, sol.grid)
+        sup_h.append(np.max(np.abs(vf.mean_curvature_residual(sample, points))))
+    orders = np.log2(np.array(sup_h[:-1]) / sup_h[1:])
+    assert np.all(orders >= 1.8), (sup_h, orders)
 
 
 def test_negative_control_christoffel_sensitivity():
