@@ -250,16 +250,20 @@ def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4):
     derivatives taken by central finite differences of the closed-form
     connection.  This is the curvature of record for the adjudication report.
     Broadcasts over points: a float for one point, an array of shape (...)
-    when the coordinates of p are arrays.
+    when the coordinates of p are arrays.  A point where h is lost to
+    rounding (x + h == x, say) raises ValueError.
     """
     if h <= 0:
         raise ValueError("finite-difference step h must be positive")
+    x, y = p.x, p.y
+    if np.any((x + h == x) | (x - h == x) | (y + h == y) | (y - h == y)):
+        raise ValueError(f"finite-difference step h={h:g} is lost to rounding at a point with "
+                         f"|x| or |y| up to {np.max(np.maximum(np.abs(x), np.abs(y))):g}")
 
     def coeffs(x, y, i):
         # components of nabla_{E_i} X, i = 0 for X and 1 for Y
         return christoffel_closed_form(ChartPoint(x, y, 0.0)).gamma[..., :, i, 0]
 
-    x, y = p.x, p.y
     gam = christoffel_closed_form(ChartPoint(x, y, 0.0)).gamma
 
     a = gam[..., :, 0, 0]  # nabla_X X components
@@ -280,9 +284,14 @@ def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4):
 
 
 def curvature_from_warp(r):
-    """K(r) = -g''(r)/g(r) in closed form: -2 (r^2 + 12) / (r^2 + 8)^2."""
+    """K(r) = -g''(r)/g(r) in closed form: -2 (r^2 + 12) / (r^2 + 8)^2.
+
+    Formed as -(q/4)(1 + q/2) with q = 8 / (r^2 + 8), without r^2, so that it
+    stays finite where r^2 overflows; q is exactly 1 at r = 0.
+    """
     r = np.asarray(r, dtype=float)
-    out = -2.0 * (r * r + 12.0) / (r * r + 8.0) ** 2
+    q = (math.sqrt(8.0) / np.hypot(math.sqrt(8.0), r)) ** 2
+    out = -0.25 * q * (1.0 + 0.5 * q)
     return float(out) if r.ndim == 0 else out
 
 

@@ -40,6 +40,7 @@ from .nilcore import (
 )
 from . import surface as sf
 from .radial import CatenoidParams, FluxGraph, t0_min
+from .solver import _cyclic_reduction
 
 __all__ = [
     "SurfaceSample",
@@ -143,36 +144,48 @@ def mean_curvature_residual(surf: SurfaceSample, at):
 def graph_embed(u: np.ndarray, grid) -> SurfaceSample:
     """Embed a solver field (fiber arc-length units) as a graph patch.
 
-    Heights convert to chart zeta offsets by `CenterElement.from_arc_length`;
-    the angular direction is padded periodically so the spline interpolant is
-    smooth across the seam, and the jet reads the spline's derivatives.  A
-    field that does not match grid.shape or is not finite raises ValueError,
-    and so does a point whose r lies outside [grid.r[0], grid.r[-1]].
+    Heights convert to chart zeta offsets by `CenterElement.from_arc_length`.
+    The interpolant is trigonometric in theta (the heights' rfft modes, so
+    it is periodic and d_theta multiplies mode k by ik) and, for each mode,
+    the natural cubic spline in r, which is C^2; `solver._cyclic_reduction`
+    factors its symmetric, strictly diagonally dominant tridiagonal system.
+    The jet reads the interpolant's exact derivatives.  A field that does
+    not match grid.shape or is not finite raises ValueError, and so does a
+    point whose r lies outside [grid.r[0], grid.r[-1]].
     """
-    from scipy.interpolate import RectBivariateSpline
-
     u = np.asarray(u, dtype=float)
     if u.shape != grid.shape:
         raise ValueError(f"field of shape {u.shape} does not match the grid shape {grid.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("field values must be finite")
-    r = grid.r
-    theta = grid.theta
-    pad = 4
-    th_ext = np.concatenate(
-        [theta[-pad:] - 2.0 * math.pi, theta, theta[:pad] + 2.0 * math.pi]
-    )
-    u_ext = np.concatenate([u[:, -pad:], u, u[:, :pad]], axis=1)
-    spline = RectBivariateSpline(r, th_ext, sf.CenterElement.from_arc_length(u_ext).t, kx=3, ky=3)
+    r, m = grid.r, len(grid.theta)
+    # height = Re sum_k modes_k exp(ik theta), theta_j = 2 pi j / m; modes 0 and m/2 count once
+    freq = np.arange(m // 2 + 1)
+    ik = 1j * freq
+    weight = np.where((freq == 0) | (2 * freq == m), 1.0, 2.0) / m
+    modes = np.fft.rfft(sf.CenterElement.from_arc_length(u).t, axis=1) * weight
+    h = np.diff(r)[:, None]
+    slopes = np.diff(modes, axis=0) / h
+    bends = np.zeros_like(modes)  # second r-derivatives at the nodes, 0 at both ends
+    bends[1:-1] = _cyclic_reduction(h[1:-1], 2.0 * (h[:-1] + h[1:]), h[1:-1])(
+        6.0 * np.diff(slopes, axis=0))
 
     def jet(rr, tt):
         outside = np.asarray(rr)[~((rr >= r[0]) & (rr <= r[-1]))]
         if outside.size:
             raise ValueError(f"radius {outside[0]} lies outside the grid's [{r[0]}, {r[-1]}]")
-        orders = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-        return _polar_graph_jet(rr, tt, [spline(rr, tt, dx=i, dy=j, grid=False) for i, j in orders])
+        k = np.minimum(np.searchsorted(r, rr, side="right") - 1, len(r) - 2)
+        b = (np.asarray(rr, dtype=float) - r[k])[..., None] / h[k]
+        a, lo, hi = 1.0 - b, bends[k], bends[k + 1]
+        wave = np.exp(ik * np.asarray(tt, dtype=float)[..., None])
+        value, d_r, d_rr = (c * wave for c in (
+            a * modes[k] + b * modes[k + 1] + ((a**3 - a) * lo + (b**3 - b) * hi) * h[k] ** 2 / 6.0,
+            slopes[k] + ((1.0 - 3.0 * a * a) * lo + (3.0 * b * b - 1.0) * hi) * h[k] / 6.0,
+            a * lo + b * hi))
+        derivs = (value, d_r, ik * value, d_rr, ik * d_r, ik * ik * value)
+        return _polar_graph_jet(rr, tt, [np.sum(d, axis=-1).real for d in derivs])
 
-    return SurfaceSample(jet, r.copy(), theta.copy(), periodic_v=True)
+    return SurfaceSample(jet, r.copy(), grid.theta.copy(), periodic_v=True)
 
 
 def slice_sample(extent: float = 3.0, n: int = 10, n_v: int | None = None) -> SurfaceSample:

@@ -232,10 +232,8 @@ def test_criterion_11_exterior_exhaustion():
 
     # graph embedding of the converged field stays minimal to solver order
     sample = vf.graph_embed(sol1.u, sol1.grid)
-    graph_res = 0.0
-    for r in np.linspace(2.0, 20.0, 10):
-        for phi in (0.4, 2.5):
-            graph_res = max(graph_res, abs(vf.mean_curvature_residual(sample, (r, phi))))
+    at = np.stack(np.meshgrid(np.linspace(2.0, 20.0, 10), (0.4, 2.5), indexing="ij"), -1)
+    graph_res = np.max(np.abs(vf.mean_curvature_residual(sample, at.reshape(20, 2))))
 
     ok = (
         cap_ok

@@ -320,6 +320,27 @@ def test_curvature_riemann_values():
         sf.gaussian_curvature_riemann(sf.SurfacePoint(0, 0), h=0.0)
 
 
+def test_curvature_riemann_refuses_a_point_where_its_step_is_lost():
+    # beyond |x| of about 1e12, x + 1e-4 rounds to x and the differences read
+    # 0; at r = 1e200 the connection itself would overflow
+    for r in (1e13, 1e80, 1e200):
+        with pytest.raises(ValueError, match="h=0.0001 is lost to rounding"):
+            sf.gaussian_curvature_riemann(sf.PolarCoord(r, 0.0).to_surface_point())
+    with pytest.raises(ValueError, match="lost to rounding"):
+        sf.gaussian_curvature_riemann(sf.SurfacePoint(np.array([0.0, 0.5]), np.array([0.0, 1e15])))
+    assert sf.gaussian_curvature_riemann(sf.SurfacePoint(1e13, 0.0), h=1.0) < 0
+
+
+def test_curvature_from_warp_stays_finite_where_r_squared_overflows():
+    far = sf.curvature_from_warp(np.array([1e80, 1e154, 1e200, 1e300, np.finfo(float).max]))
+    assert np.all(np.isfinite(far)) and np.all(far <= 0)
+    assert sf.curvature_from_warp(1e80) == pytest.approx(-2e-160, rel=1e-15)
+    # within roundoff of the expanded quotient wherever that quotient is finite
+    r = np.concatenate([[0.0], np.logspace(-3, 70, 200)])
+    expanded = -2.0 * (r * r + 12.0) / (r * r + 8.0) ** 2
+    assert np.allclose(sf.curvature_from_warp(r), expanded, rtol=1e-15, atol=0.0)
+
+
 def test_curvature_oracles_agree():
     for r in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         p = sf.PolarCoord(r, 0.4).to_surface_point()

@@ -272,6 +272,35 @@ def test_graph_embed_radial_flux_profile():
     assert worst <= 1e-4
 
 
+def test_graph_embed_is_periodic_in_theta():
+    # the jet at theta, theta + 2 pi and theta - 2 pi is one jet, and so is
+    # the jet on either side of the seam theta = 0
+    cfg = sv.SolverConfig(n_r=64, n_theta=32)
+    sol = sv.asymptotic_solve(sf.BoundaryData.cosine(1.0), cfg, radii=(8.0,))
+    sample = vf.graph_embed(sol.u, sol.grids[-1])
+    r = np.array([0.3, 3.0, 7.9])
+    for theta in (2.5, -0.05):
+        jet = np.array(sample.jet(r, theta))
+        for turn in (-1, 1):
+            assert np.max(np.abs(np.array(sample.jet(r, theta + 2 * math.pi * turn)) - jet)) <= 1e-12
+    seam = np.array(sample.jet(r, -0.05)) - np.array(sample.jet(r, 2 * math.pi - 0.05))
+    assert np.max(np.abs(seam)) <= 1e-12
+
+
+def test_graph_embed_reproduces_a_linear_profile_times_a_trigonometric_mode():
+    # u = (1 + r/2) cos 2 theta: the natural spline is exact on a linear
+    # r-profile and the trigonometric interpolation on cos 2 theta, so every
+    # jet component of the height is the closed form to roundoff (x and y
+    # are `PolarCoord.jet`'s)
+    grid = sv.AnnulusGrid.annulus(1.0, 4.0, 17, 16)
+    rr, th = np.meshgrid(grid.r, grid.theta, indexing="ij")
+    sample = vf.graph_embed((1.0 + rr / 2.0) * np.cos(2.0 * th), grid)
+    r, theta = np.random.default_rng(3).uniform([1.0, -7.0], [4.0, 13.0], (50, 2)).T
+    cos, sin, lift = np.cos(2.0 * theta), np.sin(2.0 * theta), 1.0 + r / 2.0
+    zeta = np.array([lift * cos, cos / 2.0, -2.0 * lift * sin, 0.0 * r, -sin, -4.0 * lift * cos])
+    assert np.max(np.abs(np.array(sample.jet(r, theta))[..., 2] - zeta / SQRT2)) <= 1e-12
+
+
 def test_exterior_graph_mean_curvature_falls_at_second_order():
     # sup |H| of the exterior graph (s = 1, r0 = 1, R = 8) under grid
     # refinement: the 3-D oracle reads the solver's O(h^2) error.  |H| peaks
