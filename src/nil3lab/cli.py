@@ -78,9 +78,11 @@ def _cmd_curvature(args) -> int:
     print("r  K_connection_fd  K_warp_closed  K_doubled_candidate")
     for r, k, k_warp, k_doubled in zip(radii, k_fd, cands.k_warp, cands.k_doubled):
         print(f"{r:g}  {k:.10g}  {k_warp:.10g}  {k_doubled:.10g}")
+    # relative, since K_warp < 0 for every r and falls like -2/r^2: an absolute
+    # difference reads small wherever K does
     print(
-        "adjudication: oracles agree with the single-warp value to "
-        f"{np.max(np.abs(k_fd - cands.k_warp)):.2e}; "
+        "adjudication: the oracles differ from the single-warp value by max |K_fd/K_warp - 1| = "
+        f"{np.max(np.abs(k_fd / cands.k_warp - 1.0)):.2e}; "
         "the doubled candidate is inconsistent with the connection data (discrepancy)"
     )
     return 0
@@ -137,7 +139,7 @@ def _cmd_barrier(args) -> int:
         f"min curvature-bound margin {report.min_margin:.6g}"
     )
     if args.export_csv:
-        meshio.export_csv(prof, args.export_csv)
+        meshio.export_csv({"r": prof.r, "f": prof.value, "fprime": prof.deriv}, args.export_csv)
         print(f"wrote {args.export_csv}")
     return 0
 

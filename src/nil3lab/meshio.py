@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .nilcore import ChartPoint
-from .radial import RadialProfile
 
 __all__ = [
     "MeshValidationError",
@@ -115,11 +114,8 @@ def export_mesh(sample, path, fmt: str = "obj", scalar=None) -> None:
 
 
 def export_csv(data, path) -> None:
-    """Write a RadialProfile (columns r, f, fprime) or a mapping of named columns."""
-    if isinstance(data, RadialProfile):
-        columns = {"r": data.r, "f": data.value, "fprime": data.deriv}
-    else:
-        columns = {k: np.asarray(v, dtype=float) for k, v in data.items()}
+    """Write a mapping of named columns, one CSV column each in mapping order."""
+    columns = {k: np.asarray(v, dtype=float) for k, v in data.items()}
     if not columns:
         raise ValueError("CSV export has no columns: the mapping is empty")
     if len({len(col) for col in columns.values()}) > 1:

@@ -260,14 +260,15 @@ def barrier_sup_bound(params: BarrierParams) -> float:
     return params.scale * math.exp(SQRT2 * a * math.pi / 2.0) * tail
 
 
-def barrier_ode_residual(params: BarrierParams, r, step: float = 1e-3):
+def barrier_ode_residual(params: BarrierParams, r):
     """Residual f'' + f' * 2(r - alpha)/((r + alpha)^2 + 8), f'' by 4th-order differencing.
 
     Zero for the exact barrier (it is the equality case of the subsolution
-    inequality); the differencing keeps the check independent of that
-    identity.
+    inequality); the differencing, of step 1e-3, keeps the check independent
+    of that identity.
     """
     r = np.asarray(r, dtype=float)
+    step = 1e-3
     fp = lambda x: barrier_fprime(params, x)
     fpp = (-fp(r + 2 * step) + 8 * fp(r + step) - 8 * fp(r - step) + fp(r - 2 * step)) / (
         12.0 * step
@@ -459,21 +460,21 @@ def catenoid_profile(params: CatenoidParams, t_nodes, tol: float = 1e-10) -> Rad
     return FluxGraph.catenoid(params).profile(t_nodes, CenterElement(tol).arc_length)
 
 
-def catenoid_flux_check(params: CatenoidParams, r: float, tol: float = 1e-13) -> float:
+def catenoid_flux_check(params: CatenoidParams, r: float) -> float:
     """Flux g(r) u'/sqrt(1 + u'^2) with u' from differencing the quadrature heights.
 
     The heights are the flux integral itself, so this 4th-order central
     difference re-derives the same first integral: the value is constant,
-    c/(2 sqrt(2)) (= g(t0) at the minimal neck).  tol bounds chart offsets,
-    as in catenoid_profile.  The independent checks of the catenoid are the
-    3-D mean curvature of its surface and the benchmark's own
-    Gauss-Legendre heights (perfbench/checks.py).
+    c/(2 sqrt(2)) (= g(t0) at the minimal neck).  The heights' tolerance is
+    1e-13 on chart offsets, as catenoid_profile's tol.  The independent
+    checks of the catenoid are the 3-D mean curvature of its surface and the
+    benchmark's own Gauss-Legendre heights (perfbench/checks.py).
     """
     if r <= params.t0:
         raise ValueError(f"flux check needs r > t0, got r={r}, t0={params.t0}")
     step = min(1e-4, (r - params.t0) / 8.0)
     radii = r + step * np.array([-2.0, -1.0, 1.0, 2.0])
-    h = FluxGraph.catenoid(params).heights(radii, CenterElement(tol).arc_length)
+    h = FluxGraph.catenoid(params).heights(radii, CenterElement(1e-13).arc_length)
     up = (h[0] - 8.0 * h[1] + 8.0 * h[2] - h[3]) / (12.0 * step)
     return float(warp_g(r) * up / math.sqrt(1.0 + up * up))
 

@@ -242,19 +242,18 @@ def orbit_circumference(r: float, tol: float = 1e-12) -> float:
     return float(_quadrature(speed, [0.0, 2.0 * math.pi], tol, "orbit circumference")[-1])
 
 
-def gaussian_curvature_riemann(p: SurfacePoint, h: float = 1e-4):
+def gaussian_curvature_riemann(p: SurfacePoint):
     """Gaussian curvature of the slice from the curvature tensor of the frame.
 
     K = <R(X,Y)X, Y> / (|X|^2 |Y|^2 - <X,Y>^2) with
     R(X,Y)X = nabla_Y nabla_X X - nabla_X nabla_Y X, the coefficient
-    derivatives taken by central finite differences of the closed-form
-    connection.  This is the curvature of record for the adjudication report.
-    Broadcasts over points: a float for one point, an array of shape (...)
-    when the coordinates of p are arrays.  A point where h is lost to
-    rounding (x + h == x, say) raises ValueError.
+    derivatives taken by central finite differences, of step h = 1e-4, of the
+    closed-form connection.  This is the curvature of record for the
+    adjudication report.  Broadcasts over points: a float for one point, an
+    array of shape (...) when the coordinates of p are arrays.  A point where
+    h is lost to rounding (x + h == x, say) raises ValueError.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    h = 1e-4
     x, y = p.x, p.y
     if np.any((x + h == x) | (x - h == x) | (y + h == y) | (y - h == y)):
         raise ValueError(f"finite-difference step h={h:g} is lost to rounding at a point with "

@@ -250,15 +250,17 @@ class ClaimReport:
         self.tolerance = float(self.tolerance)
 
 
-def fd_pushforward(fn, q, vels, h=1e-3) -> np.ndarray:
+def fd_pushforward(fn, q, vels) -> np.ndarray:
     """Differential of a map R^3 -> Nil3 at the points q along each row of vels.
 
     fn takes an (..., 3) array of coordinates and returns a GroupElement with
     coordinates of shape (...); q is (..., 3) and vels (k, 3).  Central
-    differences, one pair of map evaluations per direction.  Returns the
-    matrix velocities (dx, dy, dz) of the image curves, shape (..., k, 3).
+    differences of step 1e-3, one pair of map evaluations per direction.
+    Returns the matrix velocities (dx, dy, dz) of the image curves, shape
+    (..., k, 3).
     """
     q = np.asarray(q, dtype=float)
+    h = 1e-3
     cols = []
     for vel in np.asarray(vels, dtype=float):
         gp = fn(q + h * vel)

@@ -186,7 +186,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     nodes = np.arange(0.0, 30.0 + 0.05, 0.1)
     prof = rd.barrier_profile(params, nodes)
     path = tmp_path / "barrier.csv"
-    meshio.export_csv(prof, path)
+    meshio.export_csv({"r": prof.r, "f": prof.value, "fprime": prof.deriv}, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "r,f,fprime"
     assert len(lines) == 302  # header + 301 records
@@ -249,6 +249,20 @@ def test_cli_curvature_adjudication(capsys):
     assert "discrepancy" in out
 
 
+def _relative_disagreement(out):
+    return float(out.split("max |K_fd/K_warp - 1| = ")[1].split(";")[0])
+
+
+def test_cli_curvature_reports_the_relative_disagreement(capsys):
+    # K falls like -2/r^2, so an absolute difference of the oracles reads
+    # small far out (9e-24 at r = 1e11), where x +- 1e-4 rounds and the
+    # difference oracle is 4.5% off
+    assert main(["curvature"]) == 0
+    assert _relative_disagreement(capsys.readouterr().out) <= 1e-8
+    assert main(["curvature", "--r", "1e6,1e8,1e10,1e11,1e12"]) == 0
+    assert _relative_disagreement(capsys.readouterr().out) >= 1e-2
+
+
 def test_cli_curvature_refuses_a_radius_where_the_difference_step_is_lost(capsys):
     # a usage error, not a row of nan or an overflow warning (which fails the test)
     assert main(["curvature", "--r", "1,1e200"]) == 2
@@ -283,6 +297,15 @@ def test_cli_barrier(capsys):
     assert main(["barrier", "--s", "1", "--alpha", "1", "--rmax", "10", "--step", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "subsolution" in out
+
+
+def test_cli_barrier_csv_holds_the_profile_columns_at_17_digits(tmp_path):
+    path = tmp_path / "barrier.csv"
+    assert main(["barrier", "--s", "1", "--alpha", "1", "--rmax", "3", "--step", "0.25",
+                 "--export-csv", str(path)]) == 0
+    prof = rd.barrier_profile(rd.BarrierParams(1.0, 1.0), np.arange(0.0, 3.125, 0.25))
+    rows = ["%.17g,%.17g,%.17g" % row for row in zip(prof.r, prof.value, prof.deriv)]
+    assert path.read_text() == "\n".join(["r,f,fprime"] + rows) + "\n"
 
 
 def test_cli_barrier_at_radii_whose_squares_overflow(capsys):

@@ -316,8 +316,6 @@ def test_curvature_riemann_values():
     assert k0 == pytest.approx(-0.375, abs=1e-7)
     p2 = sf.PolarCoord(2.0, 1.1).to_surface_point()
     assert sf.gaussian_curvature_riemann(p2) == pytest.approx(-2 / 9, abs=1e-7)
-    with pytest.raises(ValueError):
-        sf.gaussian_curvature_riemann(sf.SurfacePoint(0, 0), h=0.0)
 
 
 def test_curvature_riemann_refuses_a_point_where_its_step_is_lost():
@@ -328,7 +326,6 @@ def test_curvature_riemann_refuses_a_point_where_its_step_is_lost():
             sf.gaussian_curvature_riemann(sf.PolarCoord(r, 0.0).to_surface_point())
     with pytest.raises(ValueError, match="lost to rounding"):
         sf.gaussian_curvature_riemann(sf.SurfacePoint(np.array([0.0, 0.5]), np.array([0.0, 1e15])))
-    assert sf.gaussian_curvature_riemann(sf.SurfacePoint(1e13, 0.0), h=1.0) < 0
 
 
 def test_curvature_from_warp_stays_finite_where_r_squared_overflows():
